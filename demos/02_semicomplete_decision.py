@@ -4,8 +4,9 @@ constructor cannot touch.
 
 With singleton blobs present the blanket existence result no longer holds;
 the decision reduces to the subgraph induced by the root and its neighbours
-(everything non-adjacent to the root lives in the root's own blob), where
-desk-scale instances are settled exactly.
+(everything non-adjacent to the root lives in the root's own blob), where it
+is settled in linear time; an absent answer names the deficient requirement
+component.
 """
 
 from goodpairs import (
@@ -28,7 +29,7 @@ c3 = DiGraph(3, [(0, 1), (1, 2), (2, 0)])
 singletons = CompositionSpec(c3, [DiGraph(1)] * 3)
 for blob in (1, 2, 3):
     decision = decide_semicomplete(singletons, BlobVertex(blob, 1))
-    print(f"C3[K1,K1,K1] at blob {blob}: {decision.status}")
+    print(f"C3[K1,K1,K1] at blob {blob}: {decision.status} ({decision.reason})")
 
 # Mixed sizes: blob 1 is a singleton, so the fast path is off, but pairs
 # can still exist at some roots.

@@ -1,9 +1,9 @@
 """Arc-disjoint out-/in-branching pairs ("good pairs") in digraph compositions.
 
 The package provides a polynomial constructor for compositions with a strong
-outer digraph and all blobs of size at least two, the closed-neighbourhood
-reduction for semicomplete compositions, and an exact exponential oracle
-used as ground truth at small scale.
+outer digraph and all blobs of size at least two, a linear-time decision for
+semicomplete compositions through the closed-neighbourhood reduction, and an
+exact exponential oracle used as ground truth at small scale.
 """
 
 from .composition import (
@@ -48,6 +48,7 @@ from .semicomplete import (
     NeighborhoodRestriction,
     ShrinkResult,
     closed_neighborhood_restriction,
+    decide_root_adjacent,
     decide_semicomplete,
     lift_good_pair,
     shrink_good_pair,
@@ -73,6 +74,7 @@ __all__ = [
     "cycle_skeleton_pair",
     "cycle_through",
     "decide_good_pair_exact",
+    "decide_root_adjacent",
     "decide_semicomplete",
     "ear_decompose",
     "enumerate_out_branchings",

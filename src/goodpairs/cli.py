@@ -4,7 +4,11 @@ Exit codes, uniform across subcommands:
   0  success (a pair was found / the input verified / output was written)
   1  certified absence of a good pair
   2  invalid input (parse error or violated precondition)
-  3  undecided (exact-search size cap exceeded)
+  3  undecided (only from ``oracle``: exact-search size cap exceeded)
+
+``decide-sc`` decides in time linear in the root's closed-neighbourhood
+restriction and is never undecided; on absence it writes the deficient
+requirement component to stderr.
 """
 
 from __future__ import annotations
@@ -69,16 +73,14 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_decide_sc(args: argparse.Namespace) -> int:
     spec = gio.parse_composition(_read(args.spec))
     root = _parse_blob_root(args.root)
-    decision = decide_semicomplete(spec, root, kernel_cap=args.kernel_cap)
+    decision = decide_semicomplete(spec, root)
     if decision.found:
         print(gio.serialize_good_pair(decision.pair))
         _write_dot(args, decision.pair)
         return EXIT_FOUND
-    if decision.absent:
-        print('{"status": "absent"}')
-        return EXIT_ABSENT
-    print(f"undecided: {decision.reason}", file=sys.stderr)
-    return EXIT_UNDECIDED
+    print('{"status": "absent"}')
+    print(f"absent: {decision.reason}", file=sys.stderr)
+    return EXIT_ABSENT
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
@@ -176,7 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decide-sc", help="decide a good pair on a semicomplete composition")
     p.add_argument("spec", help="composition JSON file, or - for stdin")
     p.add_argument("--root", required=True, help="root as i.j, 1-based")
-    p.add_argument("--kernel-cap", type=int, default=DEFAULT_VERTEX_CAP)
     p.add_argument("--dot", metavar="OUT")
     p.set_defaults(func=_cmd_decide_sc)
 

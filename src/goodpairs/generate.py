@@ -114,6 +114,6 @@ def gen_composition(
             if u != v and rng.random() < blob_arc_probability
         ]
         blobs.append(DiGraph(n, arcs))
-    spec = CompositionSpec(outer, blobs)
-    assert outer_kind != "semicomplete" or is_semicomplete(spec.outer)
-    return spec
+    if outer_kind == "semicomplete" and not is_semicomplete(outer):
+        raise RuntimeError(f"generated outer digraph for seed {seed} is not semicomplete")
+    return CompositionSpec(outer, blobs)

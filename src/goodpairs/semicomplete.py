@@ -5,12 +5,15 @@ subgraph induced by r and its neighbourhood does, so the decision reduces to
 the closed-neighbourhood restriction.  The reduction is constructive both
 ways: `lift_good_pair` grows a pair of the restriction into one of the full
 graph, `shrink_good_pair` prunes a pair of the full graph down to the
-restriction.
+restriction.  On the restriction every vertex is adjacent to r, and
+`decide_root_adjacent` settles it in linear time by Hall's condition on a
+small requirement graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .composition import (
     BlobVertex,
@@ -20,14 +23,20 @@ from .composition import (
 )
 from .construct import construct_good_pair
 from .digraph import (
+    Arc,
     Branching,
     DiGraph,
     GoodPair,
+    find_in_branching,
+    find_out_branching,
     induced_subgraph,
     is_strong,
+    strong_components,
     verify_good_pair,
 )
-from .oracle import DEFAULT_VERTEX_CAP, Decision, decide_good_pair_exact
+
+# Re-exported: tracing code patches the layers this module calls by name.
+from .oracle import Decision, decide_good_pair_exact  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -267,18 +276,189 @@ def _prune_toward_root(
     return pointers, None, fallbacks
 
 
-def decide_semicomplete(
-    spec: CompositionSpec,
-    root: BlobVertex,
-    kernel_cap: int = DEFAULT_VERTEX_CAP,
+def decide_root_adjacent(
+    d: DiGraph, r: int, name: Callable[[int], str] = str
 ) -> Decision:
+    """Decide the good pair at ``r`` on a digraph where every vertex is
+    adjacent to ``r``, in linear time.
+
+    Split the other vertices into B = N+(r) & N-(r), O = N+(r) - N-(r) and
+    I = N-(r) - N+(r).  Some good pair, if any exists, has the out-branching
+    take every arc r->v and the in-branching every arc v->r; then the out-
+    branching needs only arcs into I, the in-branching only arcs out of O,
+    and the two compete for the O->I arcs alone.  Each initial strong
+    component of the I-vertices that B cannot reach through arcs into I must
+    be entered by an O->I arc of the out-branching; each terminal strong
+    component of the O-vertices that cannot reach B through arcs out of O
+    must be left by an O->I arc of the in-branching.  These requirements
+    each need an arc of their own, and an O->I arc serves at most one of
+    each kind, so a good pair exists iff every connected component of the
+    requirement graph (requirements as nodes, serving arcs as edges or
+    loops) has at least as many arcs as requirements.
+
+    On "absent" the reason names a deficient component, writing vertices
+    with ``name``.  A "found" pair is not verified here: `decide_semicomplete`
+    verifies it in `lift_good_pair`.
+    """
+    d.check_vertex(r, "root")
+    out_r = set(d.out_adj[r])
+    in_r = set(d.in_adj[r])
+    for v in range(d.vertex_count):
+        if v != r and v not in out_r and v not in in_r:
+            raise ValueError(f"vertex {name(v)} is not adjacent to the root")
+    both = out_r & in_r
+    o_side = out_r - in_r
+    i_side = in_r - out_r
+
+    # I-vertices B cannot reach through B->I and I->I arcs, and O-vertices
+    # that cannot reach B through O->O and O->B arcs.
+    r_i = i_side - _reach(both, d.out_adj, i_side)
+    r_o = o_side - _reach(both, d.in_adj, o_side)
+    in_reqs = _source_components(d, r_i, reverse=False)
+    out_reqs = _source_components(d, r_o, reverse=True)
+    requirements = in_reqs + out_reqs
+    req_of_head = {v: k for k, comp in enumerate(in_reqs) for v in comp}
+    req_of_tail = {
+        v: k for k, comp in enumerate(out_reqs, start=len(in_reqs)) for v in comp
+    }
+
+    # One union-find pass over the O->I arcs that serve a requirement.
+    o_to_i = [(o, i) for o in sorted(o_side) for i in d.out_adj[o] if i in i_side]
+    parent = list(range(len(requirements)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    # Per union-find root: requirements in the component, and arcs serving them.
+    size = [1] * len(requirements)
+    arc_count = [0] * len(requirements)
+    serving: list[tuple[Arc, int]] = []  # (arc, one requirement it serves)
+    tree_edges: list[list[tuple[int, Arc]]] = [[] for _ in requirements]
+    spare: list[tuple[Arc, int]] = []  # arcs closing a cycle, loops included
+    for arc in o_to_i:
+        a = req_of_tail.get(arc[0])
+        b = req_of_head.get(arc[1])
+        if a is None and b is None:
+            continue
+        a = b if a is None else a
+        b = a if b is None else b
+        serving.append((arc, a))
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+            size[rb] += size[ra]
+            arc_count[rb] += arc_count[ra] + 1
+            tree_edges[a].append((b, arc))
+            tree_edges[b].append((a, arc))
+        else:
+            arc_count[ra] += 1
+            spare.append((arc, a))
+    for k in range(len(requirements)):
+        if find(k) == k and arc_count[k] < size[k]:
+            return Decision(
+                "absent",
+                reason=_deficiency(k, find, requirements, len(in_reqs), serving, name),
+            )
+
+    # Each component has a spare arc: give it to one endpoint, and give
+    # every other requirement the tree arc toward that endpoint.
+    assigned: dict[int, Arc] = {}
+    served_components: set[int] = set()
+    for arc, a in spare:
+        if find(a) in served_components:
+            continue
+        served_components.add(find(a))
+        assigned[a] = arc
+        stack = [a]
+        while stack:
+            x = stack.pop()
+            for y, tree_arc in tree_edges[x]:
+                if y not in assigned:
+                    assigned[y] = tree_arc
+                    stack.append(y)
+    entering = {assigned[k] for k in range(len(in_reqs))}
+    out_arcs = [(r, v) for v in out_r]
+    out_arcs += [(u, i) for i in i_side for u in d.in_adj[i] if u in both or u in i_side]
+    out_arcs += entering
+    in_arcs = [(v, r) for v in in_r]
+    in_arcs += [(o, w) for o in o_side for w in d.out_adj[o] if w not in i_side]
+    in_arcs += [arc for arc in o_to_i if arc not in entering]
+    out_b = find_out_branching(DiGraph(d.vertex_count, out_arcs), r)
+    in_b = find_in_branching(DiGraph(d.vertex_count, in_arcs), r)
+    if out_b is None or in_b is None:
+        raise RuntimeError("requirement assignment left a vertex unspanned")
+    return Decision("found", pair=GoodPair(r, out_b, in_b))
+
+
+def _reach(start: set[int], adj: tuple[tuple[int, ...], ...], allowed: set[int]) -> set[int]:
+    """Vertices of ``allowed`` reachable from ``start`` along ``adj`` through
+    vertices of ``allowed`` only."""
+    seen: set[int] = set()
+    stack = list(start)
+    while stack:
+        u = stack.pop()
+        for w in adj[u]:
+            if w in allowed and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def _source_components(
+    d: DiGraph, vertices: set[int], reverse: bool
+) -> list[frozenset[int]]:
+    """Initial strong components of d[vertices], or terminal ones with
+    ``reverse``, in original ids."""
+    kept = sorted(vertices)
+    sub = induced_subgraph(d, kept)
+    components, condensation = strong_components(sub.reverse() if reverse else sub)
+    sources = [
+        frozenset(kept[v] for v in comp)
+        for k, comp in enumerate(components)
+        if not condensation.in_adj[k]
+    ]
+    return sorted(sources, key=min)
+
+
+def _deficiency(
+    root: int,
+    find: Callable[[int], int],
+    requirements: list[frozenset[int]],
+    in_count: int,
+    serving: list[tuple[Arc, int]],
+    name: Callable[[int], str],
+) -> str:
+    """Name the requirements of one deficient component and its arcs."""
+
+    def group(comp: frozenset[int]) -> str:
+        return "{" + ", ".join(name(v) for v in sorted(comp)) + "}"
+
+    members = [k for k in range(len(requirements)) if find(k) == root]
+    enter = [group(requirements[k]) for k in members if k < in_count]
+    leave = [group(requirements[k]) for k in members if k >= in_count]
+    arcs = [f"{name(u)}->{name(v)}" for (u, v), a in serving if find(a) == root]
+    parts = [
+        f"deficient requirement component: {len(members)} requirements, "
+        f"{len(arcs)} serving O->I arcs ({', '.join(arcs) or 'none'})"
+    ]
+    if enter:
+        parts.append("out-branching must enter " + ", ".join(enter))
+    if leave:
+        parts.append("in-branching must leave " + ", ".join(leave))
+    return "; ".join(parts)
+
+
+def decide_semicomplete(spec: CompositionSpec, root: BlobVertex) -> Decision:
     """Decide the good pair at ``root`` for a strong semicomplete composition.
 
     Fast path: when every blob has at least two vertices the constructor
     answers directly.  Otherwise the question is settled on the restriction
-    to the root's closed neighbourhood with the exact kernel and, on
-    success, lifted back.  Restrictions larger than ``kernel_cap`` come
-    back undecided instead of risking an exponential blow-up.
+    to the root's closed neighbourhood by `decide_root_adjacent`, in time
+    linear in the restriction, and a pair found there is verified and lifted
+    back.  The answer is always "found" or "absent".
     """
     if spec.blob_count < 2:
         raise ValueError("composition-level decision requires at least 2 blobs")
@@ -291,20 +471,12 @@ def decide_semicomplete(
     if all(h.vertex_count >= 2 for h in spec.blobs):
         return Decision("found", pair=construct_good_pair(spec, root))
     q = materialize(spec)
-    r = spec.global_id(root)
-    nr = closed_neighborhood_restriction(q, r)
-    if nr.restricted.vertex_count > kernel_cap:
-        return Decision(
-            "undecided",
-            reason=f"restriction has {nr.restricted.vertex_count} vertices, "
-            f"over the kernel cap of {kernel_cap}",
-        )
-    inner = decide_good_pair_exact(
-        nr.restricted, nr.root_in_restricted, vertex_cap=kernel_cap
+    nr = closed_neighborhood_restriction(q, spec.global_id(root))
+    inner = decide_root_adjacent(
+        nr.restricted,
+        nr.root_in_restricted,
+        name=lambda v: str(spec.blob_vertex(nr.kept[v])),
     )
-    if inner.status == "undecided":
+    if inner.pair is None:
         return inner
-    if inner.absent:
-        return Decision("absent")
-    assert inner.pair is not None
     return Decision("found", pair=lift_good_pair(q, nr, inner.pair))

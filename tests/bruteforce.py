@@ -8,7 +8,7 @@ with the code they check.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
 from goodpairs import Branching, DiGraph, verify_branching
 
@@ -76,3 +76,25 @@ def labeled_tournaments(n: int):
         for i, (x, y) in enumerate(pairs):
             arcs.append((x, y) if mask & (1 << i) else (y, x))
         yield DiGraph(n, arcs)
+
+
+def root_adjacent_digraphs(n: int):
+    """Yield every labeled digraph on n vertices in which every vertex is
+    adjacent to vertex 0: 3^(n-1) root patterns times 4^C(n-1, 2) others."""
+    others = range(1, n)
+    pairs = [(x, y) for x in others for y in others if x < y]
+    for root_pattern in product(range(3), repeat=n - 1):
+        base = []
+        for v, kind in zip(others, root_pattern):
+            if kind != 1:
+                base.append((0, v))
+            if kind != 0:
+                base.append((v, 0))
+        for pattern in product(range(4), repeat=len(pairs)):
+            arcs = list(base)
+            for (x, y), kind in zip(pairs, pattern):
+                if kind & 1:
+                    arcs.append((x, y))
+                if kind & 2:
+                    arcs.append((y, x))
+            yield DiGraph(n, arcs)

@@ -21,6 +21,8 @@ from goodpairs import (
     construct_good_pair,
     cycle_through,
     decide_good_pair_exact,
+    decide_root_adjacent,
+    decide_semicomplete,
     ear_decompose,
     gen_composition,
     gen_strong_digraph,
@@ -31,7 +33,11 @@ from goodpairs import (
     verify_good_pair,
 )
 
-from bruteforce import labeled_tournaments, subset_good_pair_exists
+from bruteforce import (
+    labeled_tournaments,
+    root_adjacent_digraphs,
+    subset_good_pair_exists,
+)
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:
@@ -280,4 +286,77 @@ def test_c8_oracle_completeness_against_subset_brute_force():
         not disagreements,
         f"1000 samples + all tournaments on <=5 vertices, {roots_checked} roots, "
         f"{len(disagreements)} disagreements",
+    )
+
+
+def _random_root_adjacent(rng: np.random.Generator) -> DiGraph:
+    n = int(rng.integers(5, 9))
+    p = float(rng.choice([0.2, 0.35, 0.5]))
+    arcs = []
+    for v in range(1, n):
+        kind = int(rng.integers(3))  # 0: root -> v, 1: v -> root, 2: both
+        if kind != 1:
+            arcs.append((0, v))
+        if kind != 0:
+            arcs.append((v, 0))
+    arcs += [
+        (u, v)
+        for u in range(1, n)
+        for v in range(1, n)
+        if u != v and rng.random() < p
+    ]
+    return DiGraph(n, arcs)
+
+
+def test_c9_root_adjacent_decision_against_oracle_and_brute_force():
+    disagreements = []
+    unverified = []
+    checked = found = 0
+
+    def check(d: DiGraph) -> None:
+        nonlocal checked, found
+        decision = decide_root_adjacent(d, 0)
+        expected = decide_good_pair_exact(d, 0).found
+        if d.vertex_count <= 5 and subset_good_pair_exists(d, 0) != expected:
+            disagreements.append(("brute force", sorted(d.arcs)))
+        if decision.found != expected:
+            disagreements.append(("oracle", sorted(d.arcs)))
+        if decision.found and not verify_good_pair(d, decision.pair).ok:
+            unverified.append(sorted(d.arcs))
+        checked += 1
+        found += decision.found
+
+    for n in range(1, 5):
+        for d in root_adjacent_digraphs(n):
+            check(d)
+    rng = np.random.Generator(np.random.PCG64(2024))
+    for _ in range(2000):
+        check(_random_root_adjacent(rng))
+
+    report(
+        "C9 root-adjacent decision",
+        not disagreements and not unverified,
+        f"all 1768 on <=4 vertices + 2000 on 5-8, {checked} digraphs, {found} found, "
+        f"{len(disagreements)} disagreements, {len(unverified)} unverified pairs",
+    )
+
+
+def test_c10_semicomplete_decision_against_oracle_on_q():
+    disagreements = []
+    unverified = []
+    roots_checked = 0
+    for seed, spec in _semicomplete_instances():
+        q = materialize(spec)
+        for r in range(q.vertex_count):
+            decision = decide_semicomplete(spec, spec.blob_vertex(r))
+            if decision.found != decide_good_pair_exact(q, r).found:
+                disagreements.append((seed, r))
+            if decision.found and not verify_good_pair(q, decision.pair).ok:
+                unverified.append((seed, r))
+            roots_checked += 1
+    report(
+        "C10 semicomplete decision",
+        not disagreements and not unverified,
+        f"300 instances, {roots_checked} roots, {len(disagreements)} disagreements, "
+        f"{len(unverified)} unverified pairs",
     )

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -59,13 +60,49 @@ def test_decide_sc_absent(tmp_path, capsys):
     p = tmp_path / "spec.json"
     p.write_text(SPEC_C3_K1)
     assert main(["decide-sc", str(p), "--root", "1.1"]) == 1
-    assert json.loads(capsys.readouterr().out) == {"status": "absent"}
+    captured = capsys.readouterr()
+    assert captured.out == '{"status": "absent"}\n'
+    assert "must enter {3.1}" in captured.err
+    assert "must leave {2.1}" in captured.err
 
 
 def test_decide_sc_found(spec_file, capsys):
     assert main(["decide-sc", spec_file, "--root", "2.2"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["root"] == 3
+
+
+def _gen_semicomplete_spec(tmp_path, capsys, t, blob_max, seed):
+    argv = ["gen", "composition", "--outer", "semicomplete", "--blob-min", "1"]
+    argv += ["--blob-arc-prob", "0.3", "--t", str(t), "--blob-max", str(blob_max)]
+    assert main(argv + ["--seed", str(seed)]) == 0
+    p = tmp_path / f"spec{seed}.json"
+    p.write_text(capsys.readouterr().out)
+    return str(p)
+
+
+def test_decide_sc_large_restriction_found_and_verified(tmp_path, capsys):
+    # Root 1.1's restriction has 32 vertices, over the exact oracle's cap of 14.
+    spec = _gen_semicomplete_spec(tmp_path, capsys, 12, 4, 0)
+    assert main(["decide-sc", spec, "--root", "1.1"]) == 0
+    pair = tmp_path / "pair.json"
+    pair.write_text(capsys.readouterr().out)
+    assert main(["compose", spec]) == 0
+    q = tmp_path / "q.json"
+    q.write_text(capsys.readouterr().out)
+    assert main(["verify", str(q), str(pair)]) == 0
+    assert json.loads(capsys.readouterr().out)["valid"] is True
+
+
+def test_decide_sc_absent_in_under_a_second(tmp_path, capsys):
+    # On this 13-vertex restriction the exact oracle runs for minutes.
+    spec = _gen_semicomplete_spec(tmp_path, capsys, 6, 3, 24)
+    started = time.perf_counter()
+    assert main(["decide-sc", spec, "--root", "1.1"]) == 1
+    assert time.perf_counter() - started < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == '{"status": "absent"}\n'
+    assert "deficient requirement component" in captured.err
 
 
 def test_oracle_absent_on_c3(tmp_path, capsys):

@@ -8,6 +8,7 @@ from goodpairs import (
     DiGraph,
     closed_neighborhood_restriction,
     decide_good_pair_exact,
+    decide_root_adjacent,
     decide_semicomplete,
     gen_composition,
     lift_good_pair,
@@ -204,11 +205,23 @@ class TestDecideSemicomplete:
         with pytest.raises(ValueError, match="not strong"):
             decide_semicomplete(spec, BlobVertex(1, 1))
 
-    def test_kernel_cap_gives_undecided(self, c3):
+    def test_singleton_root_blob_decided_and_verified(self, c3):
         spec = CompositionSpec(c3, [DiGraph(1), DiGraph(2), DiGraph(2)])
-        decision = decide_semicomplete(spec, BlobVertex(1, 1), kernel_cap=3)
-        assert decision.status == "undecided"
-        assert "kernel cap" in decision.reason
+        decision = decide_semicomplete(spec, BlobVertex(1, 1))
+        assert decision.found
+        assert verify_good_pair(materialize(spec), decision.pair).ok
+
+    def test_absence_certificate_on_tightness_example(self, c3):
+        # Q is the 3-cycle 1.1 -> 2.1 -> 3.1 -> 1.1: at root 1.1, O = {2.1}
+        # and I = {3.1}, and their two requirements share the one arc.
+        spec = CompositionSpec(c3, [DiGraph(1)] * 3)
+        decision = decide_semicomplete(spec, BlobVertex(1, 1))
+        assert decision.absent
+        assert decision.reason == (
+            "deficient requirement component: 2 requirements, "
+            "1 serving O->I arcs (2.1->3.1); out-branching must enter {3.1}; "
+            "in-branching must leave {2.1}"
+        )
 
     def test_single_blob_rejected(self):
         spec = CompositionSpec(DiGraph(1), [DiGraph(3, [(0, 1), (1, 0), (1, 2), (2, 1)])])
@@ -235,3 +248,20 @@ class TestRestrictionEquivalenceSmall:
                 if on_q != on_restriction:
                     failures.append((seed, r))
         assert not failures
+
+
+class TestDecideRootAdjacent:
+    def test_loop_requirement_needs_its_own_arc(self):
+        # O = {1}, I = {2, 3}, B = {}.  Requirement {2} is entered only by
+        # 1 -> 2 and {1} is left by 1 -> 2 and 1 -> 3: two arcs, two needs.
+        d = DiGraph(4, [(0, 1), (2, 0), (3, 0), (1, 2), (1, 3), (2, 3)])
+        decision = decide_root_adjacent(d, 0)
+        assert decision.found
+        assert verify_good_pair(d, decision.pair).ok
+        assert (1, 2) in decision.pair.out_branching.arcs
+        assert (1, 3) in decision.pair.in_branching.arcs
+
+    def test_non_adjacent_vertex_rejected(self):
+        d = DiGraph(3, [(0, 1), (1, 0), (1, 2), (2, 1)])
+        with pytest.raises(ValueError, match="vertex 2 is not adjacent"):
+            decide_root_adjacent(d, 0)
