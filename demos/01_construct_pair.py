@@ -43,11 +43,14 @@ for i, ear in enumerate(ears.ears):
     print(f"  ear {i}: {ear.kind:13s} {ear.vertices}")
 
 # Stage 3: the skeleton pair spans layers 1-2 of every blob.
-sp = skeleton_good_pair(outer, root.blob)
-print(f"skeleton: {len(sp.out_arcs)} out-arcs, {len(sp.in_arcs)} in-arcs, "
-      f"covering blobs {sorted(sp.covered_blobs)}")
+# Skeleton vertex 2*b + k is layer k+1 of outer vertex b; each tree is one
+# int array (out-tree parent, in-tree successor), with -1 at the root.
+out_parent, in_next = skeleton_good_pair(outer, root.blob)
+print(f"skeleton: {sum(p >= 0 for p in out_parent)} out-arcs, "
+      f"{sum(n >= 0 for n in in_next)} in-arcs, "
+      f"over {len(out_parent)} skeleton vertices")
 
-# The full pipeline, including the extra layers and the root relabel.
+# The full pipeline: extra layers, with the root in layer 1's place.
 pair = construct_good_pair(spec, root)
 print(f"good pair at global vertex {pair.root} "
       f"({root.blob}.{root.layer}): "

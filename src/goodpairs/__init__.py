@@ -9,16 +9,12 @@ exact exponential oracle used as ground truth at small scale.
 from .composition import (
     BlobVertex,
     CompositionSpec,
-    ImplicitCompositionView,
     is_semicomplete,
     materialize,
     validate_for_construction,
 )
 from .construct import (
-    SkeletonPair,
-    attach_ear_gadget,
     construct_good_pair,
-    cycle_skeleton_pair,
     extend_layers,
     skeleton_good_pair,
 )
@@ -64,14 +60,10 @@ __all__ = [
     "Ear",
     "EarDecomposition",
     "GoodPair",
-    "ImplicitCompositionView",
     "NeighborhoodRestriction",
     "ShrinkResult",
-    "SkeletonPair",
-    "attach_ear_gadget",
     "closed_neighborhood_restriction",
     "construct_good_pair",
-    "cycle_skeleton_pair",
     "cycle_through",
     "decide_good_pair_exact",
     "decide_root_adjacent",

@@ -92,7 +92,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     decision = decide_good_pair_exact(d, args.root, vertex_cap=args.kernel_cap)
     if decision.found:
         print(gio.serialize_good_pair(decision.pair))
-        _write_dot(args, decision.pair, d if args.materialize else None)
+        _write_dot(args, decision.pair)
         return EXIT_FOUND
     if decision.absent:
         print('{"status": "absent"}')
@@ -192,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--limit", type=int, default=None, help="stop after this many branchings")
     p.add_argument("--dot", metavar="OUT")
-    p.add_argument("--materialize", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("verify", help="verify a good pair against a digraph")

@@ -7,130 +7,46 @@ through the root blob, absorb the remaining outer structure ear by ear, then
 hang layers 3.. of each blob off the arcs already incident to its layer-2
 vertex.  The composition is never materialized; every arc used crosses
 between blobs whose outer vertices are adjacent, so existence is implied.
+
+Skeleton vertices are ints: ``2 * b + k`` is layer ``k + 1`` of the blob
+carried by outer vertex ``b`` (0-based).  A skeleton pair is two lists over
+these ids, ``out_parent`` (the tail of each vertex's in-arc in the out-tree)
+and ``in_next`` (the head of each vertex's out-arc in the in-tree), with -1
+at the root, which is always layer 1 of the root blob.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
-
 from .composition import BlobVertex, CompositionSpec, validate_for_construction
-from .digraph import Branching, DiGraph, GoodPair, verify_branching, verify_good_pair
-from .ears import Ear, cycle_through, ear_decompose
+from .digraph import Branching, DiGraph, GoodPair
+from .ears import cycle_through, ear_decompose
+
+Skeleton = tuple[list[int], list[int]]
 
 
-@dataclass(frozen=True)
-class SkeletonPair:
-    """Arc-disjoint out-/in-branchings over layers 1-2 of the covered blobs.
+def skeleton_good_pair(outer: DiGraph, root_blob: int) -> Skeleton:
+    """Skeleton pair ``(out_parent, in_next)`` covering every blob of a
+    strong outer digraph, rooted at layer 1 of ``root_blob`` (1-based).
 
-    ``out_parent`` maps each non-root skeleton vertex to the tail of its
-    unique in-arc in the out-tree; ``in_next`` maps each non-root vertex to
-    the head of its unique out-arc in the in-tree.  Both trees are rooted at
-    ``root``, which is always a layer-1 vertex.
-    """
+    Seed: on the shortest cycle c0 .. c(m-1) through the root blob, the
+    out-tree is the single path through all layer-1 vertices in cycle order
+    and then all layer-2 vertices:
 
-    root: BlobVertex
-    covered_blobs: frozenset[int]
-    out_parent: dict[BlobVertex, BlobVertex] = field(compare=False)
-    in_next: dict[BlobVertex, BlobVertex] = field(compare=False)
+        (c0,1) (c1,1) ... (cm-1,1) (c0,2) (c1,2) ... (cm-1,2)
 
-    @property
-    def out_arcs(self) -> set[tuple[BlobVertex, BlobVertex]]:
-        return {(tail, head) for head, tail in self.out_parent.items()}
-
-    @property
-    def in_arcs(self) -> set[tuple[BlobVertex, BlobVertex]]:
-        return {(tail, head) for tail, head in self.in_next.items()}
-
-
-def cycle_skeleton_pair(
-    cycle: Sequence[int], host: DiGraph | None = None
-) -> SkeletonPair:
-    """Seed pair on the two-layer skeleton of a blob cycle b1 .. bm.
-
-    The root is (b1, 1).  The out-tree is the single path through all the
-    layer-1 vertices in cycle order and then all the layer-2 vertices:
-
-        (b1,1) (b2,1) ... (bm,1) (b1,2) (b2,2) ... (bm,2)
-
-    The in-tree is two chains that alternate layers while following the
+    and the in-tree is two chains that alternate layers while following the
     cycle, entering the root on the wrap-around arc:
 
-        (bi,2) -> (bi+1,1)   for 1 <= i <= m-1
-        (bi,1) -> (bi+1,2)   for 2 <= i <= m-1
-        (bm,1) -> (b1,1)  and  (bm,2) -> (b1,1)
+        (ci,2) -> (ci+1,1)   for 0 <= i <= m-2
+        (ci,1) -> (ci+1,2)   for 1 <= i <= m-2
+        (cm-1,1) -> (c0,1)  and  (cm-1,2) -> (c0,1)
 
     The chains occupy complementary layers at every blob, so this is an
     in-branching for every m >= 2, and no arc appears in both trees.
-    ``cycle`` lists 1-based blob indices without repeating the first one;
-    when ``host`` is given, consecutive blobs are checked to be outer arcs.
-    """
-    blobs = [int(b) for b in cycle]
-    m = len(blobs)
-    if m < 2:
-        raise ValueError(f"cycle must visit at least 2 blobs, got {m}")
-    if len(set(blobs)) != m:
-        raise ValueError("cycle revisits a blob")
-    if host is not None:
-        for i in range(m):
-            u, v = blobs[i] - 1, blobs[(i + 1) % m] - 1
-            if not host.has_arc(u, v):
-                raise ValueError(
-                    f"cycle arc from blob {u + 1} to blob {v + 1} missing from outer"
-                )
 
-    def sv(pos: int, layer: int) -> BlobVertex:
-        return BlobVertex(blobs[pos % m], layer)
-
-    out_parent: dict[BlobVertex, BlobVertex] = {}
-    in_next: dict[BlobVertex, BlobVertex] = {}
-    path = [sv(i, 1) for i in range(m)] + [sv(i, 2) for i in range(m)]
-    for prev, cur in zip(path, path[1:]):
-        out_parent[cur] = prev
-    root = sv(0, 1)
-    for i in range(m - 1):
-        in_next[sv(i, 2)] = sv(i + 1, 1)
-    for i in range(1, m - 1):
-        in_next[sv(i, 1)] = sv(i + 1, 2)
-    in_next[sv(m - 1, 1)] = root
-    in_next[sv(m - 1, 2)] = root
-    return SkeletonPair(root, frozenset(blobs), out_parent, in_next)
-
-
-def _ear_blob_walk(ear: Ear) -> list[int]:
-    return [v + 1 for v in ear.vertices]
-
-
-def _check_gadget_preconditions(
-    sp: SkeletonPair, walk: list[int], host: DiGraph | None
-) -> list[str]:
-    problems = []
-    if walk[0] not in sp.covered_blobs:
-        problems.append(f"ear start blob {walk[0]} is not covered")
-    if walk[-1] not in sp.covered_blobs:
-        problems.append(f"ear end blob {walk[-1]} is not covered")
-    interior = walk[1:-1]
-    for b in interior:
-        if b in sp.covered_blobs:
-            problems.append(f"ear internal blob {b} is already covered")
-    if len(set(interior)) != len(interior):
-        problems.append("ear revisits an internal blob")
-    if host is not None:
-        for a, b in zip(walk, walk[1:]):
-            if not host.has_arc(a - 1, b - 1):
-                problems.append(f"ear arc from blob {a} to blob {b} missing from outer")
-    return problems
-
-
-def _attach_walk(
-    out_parent: dict[BlobVertex, BlobVertex],
-    in_next: dict[BlobVertex, BlobVertex],
-    walk: list[int],
-) -> None:
-    """Splice the internal blobs of one ear into both trees.
-
-    For the blob walk w0 .. wL (w0, wL covered; w1 .. w(L-1) new), the
-    out-tree gains the two layer-preserving paths
+    Ears: for each later ear w0 .. wL of a greedy ear decomposition (w0, wL
+    covered; w1 .. w(L-1) new), the out-tree gains the two
+    layer-preserving paths
 
         (wk, j) -> (wk+1, j)      k = 0 .. L-2,  j in {1, 2}
 
@@ -143,206 +59,108 @@ def _attach_walk(
     one and stays reachable; in-arcs start at the first new blob, so every
     new vertex gets out-degree one and drains into the covered end.  Covered
     vertices gain no in-arc in the out-tree and no out-arc in the in-tree,
-    which is what keeps both tree invariants intact.  A cycle ear is the
-    same rule with wL = w0, and a length-1 ear (no internal blobs) is a
-    no-op.
+    which keeps both trees intact.  A cycle ear is the same rule with
+    wL = w0, and a length-1 ear (no internal blobs) is a no-op.
     """
-    L = len(walk) - 1
-    for k in range(L - 1):
-        a, b = walk[k], walk[k + 1]
-        out_parent[BlobVertex(b, 1)] = BlobVertex(a, 1)
-        out_parent[BlobVertex(b, 2)] = BlobVertex(a, 2)
-    for k in range(1, L):
-        a, b = walk[k], walk[k + 1]
-        in_next[BlobVertex(a, 1)] = BlobVertex(b, 2)
-        in_next[BlobVertex(a, 2)] = BlobVertex(b, 1)
-
-
-def attach_ear_gadget(
-    sp: SkeletonPair, ear: Ear, host: DiGraph | None = None
-) -> SkeletonPair:
-    """Extend a skeleton pair over the internal blobs of one ear.
-
-    The ear is given in outer-vertex ids (0-based); endpoints must be
-    covered blobs, internal vertices must be new.  Returns a new pair; the
-    input is not modified.
-    """
-    walk = _ear_blob_walk(ear)
-    problems = _check_gadget_preconditions(sp, walk, host)
-    if problems:
-        raise ValueError("; ".join(problems))
-    out_parent = dict(sp.out_parent)
-    in_next = dict(sp.in_next)
-    _attach_walk(out_parent, in_next, walk)
-    covered = sp.covered_blobs | frozenset(walk[1:-1])
-    return SkeletonPair(sp.root, covered, out_parent, in_next)
-
-
-def skeleton_good_pair(
-    outer: DiGraph, root_blob: int, check: bool = False
-) -> SkeletonPair:
-    """Skeleton pair covering every blob of a strong outer digraph.
-
-    Pipeline: shortest cycle through the root blob, the seed pair on it,
-    then one gadget application per ear of a greedy ear decomposition.
-    With ``check`` set, the tree and disjointness invariants are re-verified
-    after every ear (slow; meant for tests).
-    """
-    if not (1 <= root_blob <= outer.vertex_count):
-        raise ValueError(
-            f"root blob {root_blob} out of range 1..{outer.vertex_count}"
-        )
-    if outer.vertex_count < 2:
+    t = outer.vertex_count
+    if not (1 <= root_blob <= t):
+        raise ValueError(f"root blob {root_blob} out of range 1..{t}")
+    if t < 2:
         raise ValueError("outer digraph must have at least 2 vertices")
     start = cycle_through(outer, root_blob - 1)
     decomposition = ear_decompose(outer, start)
-    cycle_blobs = [v + 1 for v in start.vertices[:-1]]
-    sp = cycle_skeleton_pair(cycle_blobs, host=outer if check else None)
-    if check:
-        _assert_skeleton_invariants(sp, outer)
-    out_parent = dict(sp.out_parent)
-    in_next = dict(sp.in_next)
-    covered = set(sp.covered_blobs)
+
+    out_parent = [-1] * (2 * t)
+    in_next = [-1] * (2 * t)
+    cycle = start.vertices[:-1]
+    path = [2 * c for c in cycle] + [2 * c + 1 for c in cycle]
+    for prev, cur in zip(path, path[1:]):
+        out_parent[cur] = prev
+    for a, b in zip(cycle, cycle[1:]):
+        in_next[2 * a + 1] = 2 * b
+    for a, b in zip(cycle[1:], cycle[2:]):
+        in_next[2 * a] = 2 * b + 1
+    last = cycle[-1]
+    in_next[2 * last] = in_next[2 * last + 1] = 2 * cycle[0]
+
     for ear in decomposition.ears[1:]:
-        walk = _ear_blob_walk(ear)
-        if check:
-            probe = SkeletonPair(sp.root, frozenset(covered), out_parent, in_next)
-            problems = _check_gadget_preconditions(probe, walk, outer)
-            if problems:
-                raise RuntimeError("; ".join(problems))
-        _attach_walk(out_parent, in_next, walk)
-        covered.update(walk[1:-1])
-        if check:
-            _assert_skeleton_invariants(
-                SkeletonPair(sp.root, frozenset(covered), out_parent, in_next), outer
-            )
-    return SkeletonPair(sp.root, frozenset(covered), out_parent, in_next)
+        walk = ear.vertices
+        inner = walk[1:-1]
+        for a, b in zip(walk, inner):
+            out_parent[2 * b] = 2 * a
+            out_parent[2 * b + 1] = 2 * a + 1
+        for a, b in zip(inner, walk[2:]):
+            in_next[2 * a] = 2 * b + 1
+            in_next[2 * a + 1] = 2 * b
+    return out_parent, in_next
 
 
-def _assert_skeleton_invariants(sp: SkeletonPair, outer: DiGraph) -> None:
-    """Debug-mode validation of a skeleton pair restricted to covered blobs."""
-    spec = CompositionSpec(
-        outer, tuple(DiGraph(2) for _ in range(outer.vertex_count))
-    )
-    blob_to_slot = {b: i for i, b in enumerate(sorted(sp.covered_blobs))}
+def extend_layers(
+    skeleton: Skeleton, spec: CompositionSpec, root: BlobVertex
+) -> GoodPair:
+    """Grow a full-blob good pair at ``root`` from a skeleton pair rooted at
+    layer 1 of ``root``'s blob.
 
-    def gid(bv: BlobVertex) -> int:
-        return 2 * blob_to_slot[bv.blob] + bv.layer - 1
-
-    n = 2 * len(sp.covered_blobs)
-
-    class _Restricted:
-        vertex_count = n
-
-        @staticmethod
-        def has_arc(u: int, v: int) -> bool:
-            return True  # arc membership is checked separately below
-
-    for tail, head in list(sp.out_arcs) + list(sp.in_arcs):
-        if tail.blob == head.blob:
-            raise RuntimeError(f"skeleton uses intra-blob arc {tail}->{head}")
-        if not spec.has_arc(tail, head):
-            raise RuntimeError(f"skeleton arc {tail}->{head} not allowed by outer")
-    root = gid(sp.root)
-    out = Branching(root, "out", ((gid(a), gid(b)) for a, b in sp.out_arcs))
-    inn = Branching(root, "in", ((gid(a), gid(b)) for a, b in sp.in_arcs))
-    for b in (out, inn):
-        rep = verify_branching(_Restricted, b)
-        if not rep.ok:
-            raise RuntimeError(f"skeleton {b.kind}-tree invalid: {rep.first_problem}")
-    if out.arcs & inn.arcs:
-        raise RuntimeError("skeleton trees share an arc")
-
-
-def extend_layers(sp: SkeletonPair, spec: CompositionSpec) -> GoodPair:
-    """Grow a full-blob good pair from a skeleton pair covering all blobs.
-
-    Each extra layer j >= 3 of blob i copies the attachment of (i, 2): it
-    receives an out-tree arc from the out-tree parent of (i, 2) and sends an
-    in-tree arc to the in-tree successor of (i, 2).  Added arcs touch layers
-    3.. only on one side, so disjointness with the skeleton is automatic.
+    Skeleton vertex ``2 * b + k`` becomes global vertex ``offset + k`` of
+    its blob, except in the root's blob: there skeleton layer 1 goes to
+    ``root``, and ``root``'s own layer takes layer 1's place.  Each extra
+    layer j >= 3 of a blob copies the attachment of the blob's skeleton
+    layer 2: it receives an out-tree arc from that vertex's out-tree parent
+    and sends an in-tree arc to its in-tree successor.  Added arcs touch the
+    extra layers only on one side, so disjointness with the skeleton is
+    automatic.
     """
-    if frozenset(range(1, spec.blob_count + 1)) != sp.covered_blobs:
+    out_parent, in_next = skeleton
+    t = spec.blob_count
+    if len(out_parent) != 2 * t or len(in_next) != 2 * t:
         raise ValueError("skeleton pair does not cover every blob")
-    for i in range(1, spec.blob_count + 1):
-        if spec.blob_size(i) < 2:
+    spec.check_blob_vertex(root)
+    rb = root.blob - 1
+    if out_parent[2 * rb] != -1:
+        raise ValueError(f"skeleton pair is not rooted at blob {root.blob}")
+    sizes = [h.vertex_count for h in spec.blobs]
+    for i, size in enumerate(sizes, start=1):
+        if size < 2:
             raise ValueError(f"blob {i} has fewer than 2 vertices")
-    # Skeleton vertices are valid by construction, so plain offset
-    # arithmetic replaces the validating global_id on this hot path.
+
     offs = spec.offsets
-    out_arcs = [
-        (offs[tail[0] - 1] + tail[1] - 1, offs[head[0] - 1] + head[1] - 1)
-        for head, tail in sp.out_parent.items()
-    ]
-    in_arcs = [
-        (offs[tail[0] - 1] + tail[1] - 1, offs[head[0] - 1] + head[1] - 1)
-        for tail, head in sp.in_next.items()
-    ]
-    for i in range(1, spec.blob_count + 1):
-        size = spec.blob_size(i)
+    gid = [offs[s >> 1] + (s & 1) for s in range(2 * t)]
+    first = offs[rb]
+    r = first + root.layer - 1
+    gid[2 * rb] = r
+    if root.layer == 2:
+        gid[2 * rb + 1] = first
+    out_arcs = [(gid[p], gid[s]) for s, p in enumerate(out_parent) if p >= 0]
+    in_arcs = [(gid[s], gid[n]) for s, n in enumerate(in_next) if n >= 0]
+    for b, size in enumerate(sizes):
         if size == 2:
             continue
-        layer2 = BlobVertex(i, 2)
-        try:
-            feeder = sp.out_parent[layer2]
-            drain = sp.in_next[layer2]
-        except KeyError as exc:  # never expected: layer 2 is never the root
-            raise RuntimeError(
-                f"skeleton is missing the attachment arcs of {layer2}"
-            ) from exc
-        feeder_id = offs[feeder[0] - 1] + feeder[1] - 1
-        drain_id = offs[drain[0] - 1] + drain[1] - 1
-        base = offs[i - 1]
-        for j in range(3, size + 1):
-            extra = base + j - 1
-            out_arcs.append((feeder_id, extra))
-            in_arcs.append((extra, drain_id))
-    root = spec.global_id(sp.root)
+        feeder = gid[out_parent[2 * b + 1]]
+        drain = gid[in_next[2 * b + 1]]
+        extras = range(offs[b] + 2, offs[b] + size)
+        if b == rb and root.layer >= 3:
+            extras = [first if v == r else v for v in extras]
+        out_arcs.extend((feeder, v) for v in extras)
+        in_arcs.extend((v, drain) for v in extras)
     return GoodPair(
-        root,
-        Branching(root, "out", frozenset(out_arcs)),
-        Branching(root, "in", frozenset(in_arcs)),
+        r,
+        Branching(r, "out", frozenset(out_arcs)),
+        Branching(r, "in", frozenset(in_arcs)),
     )
 
 
-def construct_good_pair(
-    spec: CompositionSpec, root: BlobVertex, check: bool = False
-) -> GoodPair:
+def construct_good_pair(spec: CompositionSpec, root: BlobVertex) -> GoodPair:
     """Good pair at ``root`` for a composition with strong outer and all
     blobs of size >= 2.
 
-    The requested root is normalised to layer 1 of its blob by swapping the
-    two layer labels inside that blob; the swap is undone on the returned
-    pair.  Runs on the implicit arc interface only, in time roughly linear
-    in the composition order plus the ear decomposition cost of the outer
-    digraph, and never materializes the composition.
+    Runs on the implicit arc interface only, in time roughly linear in the
+    composition order plus the ear decomposition cost of the outer digraph,
+    and never materializes the composition.  The pair is not verified here;
+    check it with `verify_good_pair` on ``spec.implicit_view()``.
     """
     report = validate_for_construction(spec)
     if not report.ok:
         raise ValueError("; ".join(report.problems))
     spec.check_blob_vertex(root)
-    sp = skeleton_good_pair(spec.outer, root.blob, check=check)
-    pair = extend_layers(sp, spec)
-    if root.layer != 1:
-        a = spec.global_id(BlobVertex(root.blob, 1))
-        b = spec.global_id(root)
-        pair = _swap_vertex_labels(pair, a, b)
-    if check:
-        rep = verify_good_pair(spec.implicit_view(), pair)
-        if not rep.ok:
-            raise RuntimeError(f"constructed pair failed verification: {rep.problems}")
-    return pair
-
-
-def _swap_vertex_labels(pair: GoodPair, a: int, b: int) -> GoodPair:
-    def sw(v: int) -> int:
-        return b if v == a else a if v == b else v
-
-    def swap_branching(br: Branching) -> Branching:
-        return Branching(sw(br.root), br.kind, ((sw(u), sw(v)) for u, v in br.arcs))
-
-    return GoodPair(
-        sw(pair.root),
-        swap_branching(pair.out_branching),
-        swap_branching(pair.in_branching),
-    )
+    skeleton = skeleton_good_pair(spec.outer, root.blob)
+    return extend_layers(skeleton, spec, root)

@@ -35,7 +35,8 @@ from .digraph import (
     verify_good_pair,
 )
 
-# Re-exported: tracing code patches the layers this module calls by name.
+# decide_good_pair_exact is not called here; it stays importable from this
+# module only because perfbench/spans.py patches it here by name.
 from .oracle import Decision, decide_good_pair_exact  # noqa: F401
 
 

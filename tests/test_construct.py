@@ -6,10 +6,7 @@ from goodpairs import (
     BlobVertex,
     CompositionSpec,
     DiGraph,
-    Ear,
-    attach_ear_gadget,
     construct_good_pair,
-    cycle_skeleton_pair,
     decide_good_pair_exact,
     extend_layers,
     is_strong,
@@ -25,27 +22,43 @@ def bv(b: int, l: int) -> BlobVertex:
     return BlobVertex(b, l)
 
 
-def verify_skeleton_as_pair(sp, outer: DiGraph) -> None:
-    """Materialize the all-K2bar composition over the covered blobs and check
-    the skeleton pair as a good pair there (covered blobs must be all)."""
+def skeleton_arcs(outer: DiGraph, root_blob: int):
+    """The skeleton pair's out- and in-arcs as sets of BlobVertex pairs."""
+
+    def sv(s: int) -> BlobVertex:
+        return bv(s // 2 + 1, s % 2 + 1)
+
+    out_parent, in_next = skeleton_good_pair(outer, root_blob)
+    out_arcs = {(sv(p), sv(s)) for s, p in enumerate(out_parent) if p >= 0}
+    in_arcs = {(sv(s), sv(n)) for s, n in enumerate(in_next) if n >= 0}
+    return out_arcs, in_arcs
+
+
+def verify_skeleton_as_pair(outer: DiGraph, root_blob: int) -> None:
+    """Materialize the all-K2bar composition and check the skeleton pair as a
+    good pair there."""
     spec = CompositionSpec(outer, [DiGraph(2)] * outer.vertex_count)
-    pair = extend_layers(sp, spec)
+    skeleton = skeleton_good_pair(outer, root_blob)
+    pair = extend_layers(skeleton, spec, bv(root_blob, 1))
     rep = verify_good_pair(materialize(spec), pair)
     assert rep.ok, rep.problems
 
 
+def cycle(m: int) -> DiGraph:
+    return DiGraph(m, [(i, (i + 1) % m) for i in range(m)])
+
+
 class TestCycleSkeletonPair:
-    def test_three_blob_cycle_exact_arcs(self):
-        sp = cycle_skeleton_pair([1, 2, 3])
-        assert sp.root == bv(1, 1)
-        assert sp.out_arcs == {
+    def test_three_blob_cycle_exact_arcs(self, c3):
+        out_arcs, in_arcs = skeleton_arcs(c3, 1)
+        assert out_arcs == {
             (bv(1, 1), bv(2, 1)),
             (bv(2, 1), bv(3, 1)),
             (bv(3, 1), bv(1, 2)),
             (bv(1, 2), bv(2, 2)),
             (bv(2, 2), bv(3, 2)),
         }
-        assert sp.in_arcs == {
+        assert in_arcs == {
             (bv(1, 2), bv(2, 1)),
             (bv(2, 2), bv(3, 1)),
             (bv(2, 1), bv(3, 2)),
@@ -54,122 +67,116 @@ class TestCycleSkeletonPair:
         }
 
     def test_two_blob_cycle_exact_arcs(self):
-        sp = cycle_skeleton_pair([1, 2])
-        assert sp.out_arcs == {
+        two_cycle = cycle(2)
+        out_arcs, in_arcs = skeleton_arcs(two_cycle, 1)
+        assert out_arcs == {
             (bv(1, 1), bv(2, 1)),
             (bv(2, 1), bv(1, 2)),
             (bv(1, 2), bv(2, 2)),
         }
-        assert sp.in_arcs == {
+        assert in_arcs == {
             (bv(1, 2), bv(2, 1)),
             (bv(2, 1), bv(1, 1)),
             (bv(2, 2), bv(1, 1)),
         }
-        two_cycle = DiGraph(2, [(0, 1), (1, 0)])
-        verify_skeleton_as_pair(sp, two_cycle)
+        verify_skeleton_as_pair(two_cycle, 1)
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
     def test_every_length_verifies(self, m):
-        sp = cycle_skeleton_pair(list(range(1, m + 1)))
-        assert len(sp.out_arcs) == 2 * m - 1
-        assert len(sp.in_arcs) == 2 * m - 1
-        assert not sp.out_arcs & sp.in_arcs
-        cycle = DiGraph(m, [(i, (i + 1) % m) for i in range(m)])
-        verify_skeleton_as_pair(sp, cycle)
+        out_arcs, in_arcs = skeleton_arcs(cycle(m), 1)
+        assert len(out_arcs) == 2 * m - 1
+        assert len(in_arcs) == 2 * m - 1
+        assert not out_arcs & in_arcs
+        verify_skeleton_as_pair(cycle(m), 1)
 
     def test_too_short(self):
         with pytest.raises(ValueError, match="at least 2"):
-            cycle_skeleton_pair([1])
-
-    def test_missing_outer_arc(self):
-        with pytest.raises(ValueError, match="missing from outer"):
-            cycle_skeleton_pair([1, 2], host=DiGraph(2, [(0, 1)]))
+            skeleton_good_pair(DiGraph(1), 1)
 
 
 class TestAttachEarGadget:
-    def outer_with_detour(self):
-        # blobs 1,2,3 on a cycle, blob 4 on a detour from 1 to 2
-        return DiGraph(4, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 1)])
+    """Each outer digraph below is a 3-cycle on blobs 1, 2, 3 plus one ear;
+    the skeleton minus the 3-cycle's seed pair is that ear's gadget."""
 
-    def test_path_ear_with_one_internal_blob(self):
-        sp = cycle_skeleton_pair([1, 2, 3])
-        out_before, in_before = sp.out_arcs, sp.in_arcs
-        sp2 = attach_ear_gadget(sp, Ear([0, 3, 1], "path_ear"), host=self.outer_with_detour())
-        assert sp2.out_arcs - out_before == {
+    def gadget(self, outer: DiGraph, root_blob: int, c3: DiGraph):
+        out_arcs, in_arcs = skeleton_arcs(outer, root_blob)
+        seed_out, seed_in = skeleton_arcs(c3, root_blob)
+        assert seed_out <= out_arcs and seed_in <= in_arcs
+        return out_arcs - seed_out, in_arcs - seed_in
+
+    def test_path_ear_with_one_internal_blob(self, c3):
+        # ear (0, 3, 1): blob 4 on a detour from blob 1 to blob 2
+        outer = DiGraph(4, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 1)])
+        out_new, in_new = self.gadget(outer, 1, c3)
+        assert out_new == {
             (bv(1, 1), bv(4, 1)),
             (bv(1, 2), bv(4, 2)),
         }
-        assert sp2.in_arcs - in_before == {
+        assert in_new == {
             (bv(4, 1), bv(2, 2)),
             (bv(4, 2), bv(2, 1)),
         }
-        assert sp2.covered_blobs == frozenset({1, 2, 3, 4})
+        verify_skeleton_as_pair(outer, 1)
 
-    def test_cycle_ear(self):
+    def test_cycle_ear(self, c3):
+        # ear (0, 3, 0); at root blob 1 the 2-cycle would seed instead
         outer = DiGraph(4, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 0)])
-        sp = cycle_skeleton_pair([1, 2, 3])
-        sp2 = attach_ear_gadget(sp, Ear([0, 3, 0], "cycle_ear"), host=outer)
-        assert sp2.out_arcs - sp.out_arcs == {
+        out_new, in_new = self.gadget(outer, 2, c3)
+        assert out_new == {
             (bv(1, 1), bv(4, 1)),
             (bv(1, 2), bv(4, 2)),
         }
-        assert sp2.in_arcs - sp.in_arcs == {
+        assert in_new == {
             (bv(4, 1), bv(1, 2)),
             (bv(4, 2), bv(1, 1)),
         }
+        verify_skeleton_as_pair(outer, 2)
 
-    def test_length_one_ear_is_noop(self):
-        sp = cycle_skeleton_pair([1, 2, 3])
-        sp2 = attach_ear_gadget(sp, Ear([0, 1], "path_ear"))
-        assert sp2.out_arcs == sp.out_arcs
-        assert sp2.in_arcs == sp.in_arcs
-        assert sp2.covered_blobs == sp.covered_blobs
+    def test_length_one_ear_is_noop(self, c3):
+        # the chord (2, 1) is a single-arc ear; the cycle through blob 1
+        # is still the 3-cycle
+        outer = DiGraph(3, [(0, 1), (1, 2), (2, 0), (2, 1)])
+        assert skeleton_good_pair(outer, 1) == skeleton_good_pair(c3, 1)
 
-    def test_input_not_mutated(self):
-        sp = cycle_skeleton_pair([1, 2, 3])
-        before = (set(sp.out_arcs), set(sp.in_arcs))
-        attach_ear_gadget(sp, Ear([0, 3, 1], "path_ear"))
-        assert (set(sp.out_arcs), set(sp.in_arcs)) == before
-
-    def test_uncovered_endpoint_rejected(self):
-        sp = cycle_skeleton_pair([1, 2, 3])
-        with pytest.raises(ValueError, match="end blob 5 is not covered"):
-            attach_ear_gadget(sp, Ear([0, 3, 4], "path_ear"))
-
-    def test_covered_internal_rejected(self):
-        sp = cycle_skeleton_pair([1, 2, 3])
-        with pytest.raises(ValueError, match="internal blob 2 is already covered"):
-            attach_ear_gadget(sp, Ear([0, 1, 2], "path_ear"))
-
-    def test_longer_ear_verifies(self):
-        # ear with two internal blobs: 1 -> 4 -> 5 -> 2
-        outer = DiGraph(
-            5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 1)]
-        )
-        sp = cycle_skeleton_pair([1, 2, 3])
-        sp2 = attach_ear_gadget(sp, Ear([0, 3, 4, 1], "path_ear"), host=outer)
-        assert sp2.covered_blobs == frozenset({1, 2, 3, 4, 5})
-        verify_skeleton_as_pair(sp2, outer)
+    def test_longer_ear_verifies(self, c3):
+        # ear (0, 3, 4, 1) with two internal blobs
+        outer = DiGraph(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 1)])
+        out_new, in_new = self.gadget(outer, 1, c3)
+        assert out_new == {
+            (bv(1, 1), bv(4, 1)),
+            (bv(4, 1), bv(5, 1)),
+            (bv(1, 2), bv(4, 2)),
+            (bv(4, 2), bv(5, 2)),
+        }
+        assert in_new == {
+            (bv(4, 1), bv(5, 2)),
+            (bv(4, 2), bv(5, 1)),
+            (bv(5, 1), bv(2, 2)),
+            (bv(5, 2), bv(2, 1)),
+        }
+        verify_skeleton_as_pair(outer, 1)
 
 
 class TestSkeletonGoodPair:
     def test_plain_cycle_equals_seed_pair(self, c3):
-        sp = skeleton_good_pair(c3, 1)
-        seed = cycle_skeleton_pair([1, 2, 3])
-        assert sp.out_arcs == seed.out_arcs
-        assert sp.in_arcs == seed.in_arcs
+        out_parent, in_next = skeleton_good_pair(c3, 1)
+        # layer-1 vertices in cycle order, then layer-2 vertices
+        assert out_parent == [-1, 4, 0, 1, 2, 3]
+        assert in_next == [-1, 2, 5, 4, 0, 0]
 
     def test_cycle_plus_detour(self):
         outer = DiGraph(4, [(0, 1), (1, 2), (2, 0), (1, 3), (3, 0)])
-        sp = skeleton_good_pair(outer, 1, check=True)
-        assert sp.covered_blobs == frozenset({1, 2, 3, 4})
-        verify_skeleton_as_pair(sp, outer)
+        out_parent, in_next = skeleton_good_pair(outer, 1)
+        assert len(out_parent) == len(in_next) == 8
+        verify_skeleton_as_pair(outer, 1)
 
     def test_complete_biorientation_every_root(self, bior_k3):
         for root_blob in (1, 2, 3):
-            sp = skeleton_good_pair(bior_k3, root_blob, check=True)
-            assert sp.root == bv(root_blob, 1)
-            verify_skeleton_as_pair(sp, bior_k3)
+            out_parent, in_next = skeleton_good_pair(bior_k3, root_blob)
+            root = 2 * (root_blob - 1)
+            assert out_parent[root] == in_next[root] == -1
+            assert out_parent.count(-1) == in_next.count(-1) == 1
+            verify_skeleton_as_pair(bior_k3, root_blob)
 
     def test_not_strong_rejected(self):
         with pytest.raises(ValueError, match="not strong"):
@@ -180,7 +187,7 @@ class TestExtendLayers:
     def test_extra_layer_attachments(self, c3):
         spec = CompositionSpec(c3, [DiGraph(2), DiGraph(3), DiGraph(2)])
         sp = skeleton_good_pair(c3, 1)
-        pair = extend_layers(sp, spec)
+        pair = extend_layers(sp, spec, bv(1, 1))
         # the third vertex of blob 2 hangs off the attachments of (2,2)
         extra = spec.global_id(bv(2, 3))
         feeder = spec.global_id(bv(1, 2))
@@ -191,21 +198,22 @@ class TestExtendLayers:
 
     def test_all_two_blobs_reinterprets_skeleton(self, c3):
         spec = CompositionSpec(c3, [DiGraph(2)] * 3)
-        sp = skeleton_good_pair(c3, 1)
-        pair = extend_layers(sp, spec)
+        pair = extend_layers(skeleton_good_pair(c3, 1), spec, bv(1, 1))
+        out_arcs, in_arcs = skeleton_arcs(c3, 1)
         gid = spec.global_id
-        assert pair.out_branching.arcs == frozenset(
-            (gid(a), gid(b)) for a, b in sp.out_arcs
-        )
-        assert pair.in_branching.arcs == frozenset(
-            (gid(a), gid(b)) for a, b in sp.in_arcs
-        )
+        assert pair.out_branching.arcs == {(gid(a), gid(b)) for a, b in out_arcs}
+        assert pair.in_branching.arcs == {(gid(a), gid(b)) for a, b in in_arcs}
+
+    def test_skeleton_rooted_elsewhere_rejected(self, c3):
+        spec = CompositionSpec(c3, [DiGraph(2)] * 3)
+        with pytest.raises(ValueError, match="not rooted at blob 2"):
+            extend_layers(skeleton_good_pair(c3, 1), spec, bv(2, 1))
 
     def test_two_extra_arcs_per_branching(self):
         two_cycle = DiGraph(2, [(0, 1), (1, 0)])
         spec = CompositionSpec(two_cycle, [DiGraph(4), DiGraph(2)])
         sp = skeleton_good_pair(two_cycle, 1)
-        pair = extend_layers(sp, spec)
+        pair = extend_layers(sp, spec, bv(1, 1))
         gid = spec.global_id
         assert {(gid(bv(2, 1)), gid(bv(1, 3))), (gid(bv(2, 1)), gid(bv(1, 4)))} <= (
             pair.out_branching.arcs
@@ -219,13 +227,13 @@ class TestExtendLayers:
         spec = CompositionSpec(c3, [DiGraph(2), DiGraph(2), DiGraph(1)])
         sp = skeleton_good_pair(c3, 1)
         with pytest.raises(ValueError, match="blob 3"):
-            extend_layers(sp, spec)
+            extend_layers(sp, spec, bv(1, 1))
 
 
 class TestConstructGoodPair:
     def test_c3_k2bar_root_one(self, c3):
         spec = CompositionSpec(c3, [DiGraph(2)] * 3)
-        pair = construct_good_pair(spec, bv(1, 1), check=True)
+        pair = construct_good_pair(spec, bv(1, 1))
         assert len(pair.out_branching.arcs) == 5
         assert len(pair.in_branching.arcs) == 5
         q = materialize(spec)
@@ -239,7 +247,7 @@ class TestConstructGoodPair:
 
     def test_layer_two_root_round_trip(self, c3):
         spec = CompositionSpec(c3, [DiGraph(2)] * 3)
-        pair = construct_good_pair(spec, bv(2, 2), check=True)
+        pair = construct_good_pair(spec, bv(2, 2))
         assert pair.root == spec.global_id(bv(2, 2))
         assert verify_good_pair(materialize(spec), pair).ok
 
@@ -247,15 +255,46 @@ class TestConstructGoodPair:
         c3 = DiGraph(3, [(0, 1), (1, 2), (2, 0)])
         spec = CompositionSpec(c3, [DiGraph(4), DiGraph(2), DiGraph(3)])
         for layer in (1, 2, 3, 4):
-            pair = construct_good_pair(spec, bv(1, layer), check=True)
+            pair = construct_good_pair(spec, bv(1, layer))
             assert pair.root == spec.global_id(bv(1, layer))
             assert verify_good_pair(materialize(spec), pair).ok
+
+    @pytest.mark.parametrize(
+        "sizes, root",
+        [
+            ([4, 2, 3], bv(1, 2)),
+            ([4, 2, 3], bv(1, 3)),
+            ([4, 2, 3], bv(1, 4)),
+            ([2, 2, 3], bv(1, 2)),
+        ],
+        ids=["size4-layer2", "size4-layer3", "size4-layer4", "size2-layer2"],
+    )
+    def test_root_takes_layer_one_place(self, c3, sizes, root):
+        """A root at layer j is the layer-1 pair with (blob, 1) and (blob, j)
+        swapped."""
+        spec = CompositionSpec(c3, [DiGraph(k) for k in sizes])
+        a = spec.global_id(bv(root.blob, 1))
+        b = spec.global_id(root)
+
+        def sw(v: int) -> int:
+            return b if v == a else a if v == b else v
+
+        base = construct_good_pair(spec, bv(root.blob, 1))
+        pair = construct_good_pair(spec, root)
+        assert pair.root == b == sw(base.root)
+        assert pair.out_branching.arcs == {
+            (sw(u), sw(v)) for u, v in base.out_branching.arcs
+        }
+        assert pair.in_branching.arcs == {
+            (sw(u), sw(v)) for u, v in base.in_branching.arcs
+        }
+        assert verify_good_pair(spec.implicit_view(), pair).ok
 
     def test_blob_arcs_are_ignored_but_allowed(self):
         c3 = DiGraph(3, [(0, 1), (1, 2), (2, 0)])
         dense_blob = DiGraph(3, [(0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)])
         spec = CompositionSpec(c3, [dense_blob, DiGraph(2), dense_blob])
-        pair = construct_good_pair(spec, bv(3, 2), check=True)
+        pair = construct_good_pair(spec, bv(3, 2))
         q = materialize(spec)
         assert verify_good_pair(q, pair).ok
         for u, v in pair.out_branching.arcs | pair.in_branching.arcs:
