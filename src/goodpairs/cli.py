@@ -9,6 +9,9 @@ Exit codes, uniform across subcommands:
 ``decide-sc`` decides in time linear in the root's closed-neighbourhood
 restriction and is never undecided; on absence it writes the deficient
 requirement component to stderr.
+
+Every pair that ``solve`` and ``decide-sc`` print has passed
+`verify_good_pair` first.
 """
 
 from __future__ import annotations

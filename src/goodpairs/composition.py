@@ -14,6 +14,8 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, NamedTuple
 
+import numpy as np
+
 from .digraph import CheckReport, DiGraph, is_strong
 
 
@@ -100,6 +102,53 @@ class CompositionSpec:
     def has_arc_ids(self, u: int, v: int) -> bool:
         return self.has_arc(self.blob_vertex(u), self.blob_vertex(v))
 
+    @cached_property
+    def blob_of(self) -> np.ndarray:
+        """blob_of[v] is the outer vertex (0-based) whose blob holds global id v."""
+        sizes = [h.vertex_count for h in self.blobs]
+        return np.repeat(np.arange(self.blob_count, dtype=np.int64), sizes)
+
+    @cached_property
+    def _outer_keys(self) -> np.ndarray:
+        """Sorted ``i * t + p`` over the outer arcs (i, p)."""
+        t = self.blob_count
+        arcs = self.outer.arcs
+        keys = np.fromiter((i * t + p for i, p in arcs), np.int64, len(arcs))
+        keys.sort()
+        return keys
+
+    @cached_property
+    def _blob_keys(self) -> np.ndarray:
+        """Sorted ``u * N + v`` over the blob-internal arcs (u, v), in global
+        ids, N being the composition order."""
+        n = self.total_vertices
+        keys = np.fromiter(
+            (
+                (base + u) * n + base + v
+                for base, h in zip(self.offsets, self.blobs)
+                for u, v in h.arcs
+            ),
+            np.int64,
+        )
+        keys.sort()
+        return keys
+
+    def has_arcs(self, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
+        """Vectorised `has_arc_ids`: a mask over the pairs (tails[k], heads[k])
+        of global ids, which must lie in range."""
+        keys = self.blob_of[tails]
+        head_blobs = self.blob_of[heads]
+        same = keys == head_blobs
+        keys *= self.blob_count
+        keys += head_blobs  # outer key i * t + p; a loop key where same
+        del head_blobs
+        found = _members(self._outer_keys, keys)
+        del keys
+        if same.any():
+            inner = tails[same] * self.total_vertices + heads[same]
+            found[same] = _members(self._blob_keys, inner)
+        return found
+
     def arc_count(self) -> int:
         """Arc count of the materialized composition, from the size formula."""
         sizes = [h.vertex_count for h in self.blobs]
@@ -111,10 +160,20 @@ class CompositionSpec:
         return ImplicitCompositionView(self)
 
 
+def _members(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Mask of which ``keys`` occur in the sorted array ``sorted_keys``."""
+    if not len(sorted_keys):
+        return np.zeros(len(keys), dtype=bool)
+    pos = np.searchsorted(sorted_keys, keys)
+    return np.take(sorted_keys, pos, mode="clip", out=pos) == keys
+
+
 @dataclass(frozen=True)
 class ImplicitCompositionView:
     """Duck-typed stand-in for a materialized DiGraph (vertex_count/has_arc),
-    used to verify branchings on compositions too large to materialize."""
+    used to verify branchings on compositions too large to materialize.  Its
+    ``has_arcs`` sends `verify_branching` down the vectorised path; the
+    arrays behind it are cached on the spec, so fresh views stay cheap."""
 
     spec: CompositionSpec
 
@@ -124,6 +183,9 @@ class ImplicitCompositionView:
 
     def has_arc(self, u: int, v: int) -> bool:
         return self.spec.has_arc_ids(u, v)
+
+    def has_arcs(self, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
+        return self.spec.has_arcs(tails, heads)
 
 
 DEFAULT_MATERIALIZE_ARC_LIMIT = 2_000_000

@@ -7,6 +7,8 @@ through the root blob, absorb the remaining outer structure ear by ear, then
 hang layers 3.. of each blob off the arcs already incident to its layer-2
 vertex.  The composition is never materialized; every arc used crosses
 between blobs whose outer vertices are adjacent, so existence is implied.
+The finished pair is still verified on the implicit view before it is
+returned.
 
 Skeleton vertices are ints: ``2 * b + k`` is layer ``k + 1`` of the blob
 carried by outer vertex ``b`` (0-based).  A skeleton pair is two lists over
@@ -18,8 +20,12 @@ at the root, which is always layer 1 of the root blob.
 from __future__ import annotations
 
 from .composition import BlobVertex, CompositionSpec, validate_for_construction
-from .digraph import Branching, DiGraph, GoodPair
-from .ears import cycle_through, ear_decompose
+from .digraph import Branching, DiGraph, GoodPair, require_good_pair
+from .ears import cycle_through, ear_walks
+
+# ear_decompose is not called here; it stays importable from this module
+# only because perfbench/spans.py looks it up here by name (--trace 1).
+from .ears import ear_decompose  # noqa: F401
 
 Skeleton = tuple[list[int], list[int]]
 
@@ -44,9 +50,9 @@ def skeleton_good_pair(outer: DiGraph, root_blob: int) -> Skeleton:
     The chains occupy complementary layers at every blob, so this is an
     in-branching for every m >= 2, and no arc appears in both trees.
 
-    Ears: for each later ear w0 .. wL of a greedy ear decomposition (w0, wL
-    covered; w1 .. w(L-1) new), the out-tree gains the two
-    layer-preserving paths
+    Ears: for each walk w0 .. wL of `ear_walks`, the greedy ears that cover
+    the remaining blobs (w0, wL covered; w1 .. w(L-1) new), the out-tree
+    gains the two layer-preserving paths
 
         (wk, j) -> (wk+1, j)      k = 0 .. L-2,  j in {1, 2}
 
@@ -60,7 +66,7 @@ def skeleton_good_pair(outer: DiGraph, root_blob: int) -> Skeleton:
     new vertex gets out-degree one and drains into the covered end.  Covered
     vertices gain no in-arc in the out-tree and no out-arc in the in-tree,
     which keeps both trees intact.  A cycle ear is the same rule with
-    wL = w0, and a length-1 ear (no internal blobs) is a no-op.
+    wL = w0.
     """
     t = outer.vertex_count
     if not (1 <= root_blob <= t):
@@ -68,7 +74,6 @@ def skeleton_good_pair(outer: DiGraph, root_blob: int) -> Skeleton:
     if t < 2:
         raise ValueError("outer digraph must have at least 2 vertices")
     start = cycle_through(outer, root_blob - 1)
-    decomposition = ear_decompose(outer, start)
 
     out_parent = [-1] * (2 * t)
     in_next = [-1] * (2 * t)
@@ -83,8 +88,7 @@ def skeleton_good_pair(outer: DiGraph, root_blob: int) -> Skeleton:
     last = cycle[-1]
     in_next[2 * last] = in_next[2 * last + 1] = 2 * cycle[0]
 
-    for ear in decomposition.ears[1:]:
-        walk = ear.vertices
+    for walk in ear_walks(outer, start):
         inner = walk[1:-1]
         for a, b in zip(walk, inner):
             out_parent[2 * b] = 2 * a
@@ -154,13 +158,14 @@ def construct_good_pair(spec: CompositionSpec, root: BlobVertex) -> GoodPair:
     blobs of size >= 2.
 
     Runs on the implicit arc interface only, in time roughly linear in the
-    composition order plus the ear decomposition cost of the outer digraph,
-    and never materializes the composition.  The pair is not verified here;
-    check it with `verify_good_pair` on ``spec.implicit_view()``.
+    composition order plus the ear walk of the outer digraph, and never
+    materializes the composition.  The pair is checked by `verify_good_pair`
+    on ``spec.implicit_view()`` before it is returned; a pair that fails
+    raises ValueError naming the first problem.
     """
     report = validate_for_construction(spec)
     if not report.ok:
         raise ValueError("; ".join(report.problems))
     spec.check_blob_vertex(root)
-    skeleton = skeleton_good_pair(spec.outer, root.blob)
-    return extend_layers(skeleton, spec, root)
+    pair = extend_layers(skeleton_good_pair(spec.outer, root.blob), spec, root)
+    return require_good_pair(spec.implicit_view(), pair, "constructed pair")

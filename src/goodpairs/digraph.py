@@ -10,11 +10,18 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, islice
 from typing import Iterable, Literal
+
+import numpy as np
 
 Arc = tuple[int, int]
 
 BranchingKind = Literal["out", "in"]
+
+# Arcs read at a time by the vectorised `verify_branching`; bounds its
+# temporaries well below the size of the branching it checks.
+_ARC_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -100,16 +107,19 @@ def induced_subgraph(d: DiGraph, kept: Iterable[int]) -> DiGraph:
     return DiGraph(len(kept_sorted), arcs)
 
 
-def _reachable_in_adj(adj: tuple[tuple[int, ...], ...], start: int) -> set[int]:
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return seen
+def _reachable_count(adj: tuple[tuple[int, ...], ...], start: int) -> int:
+    """Number of vertices reachable from ``start`` over ``adj``."""
+    seen = bytearray(len(adj))
+    seen[start] = 1
+    stack = [start]
+    count = 1
+    while stack:
+        for w in adj[stack.pop()]:
+            if not seen[w]:
+                seen[w] = 1
+                count += 1
+                stack.append(w)
+    return count
 
 
 def strong_components(d: DiGraph) -> tuple[list[frozenset[int]], DiGraph]:
@@ -185,9 +195,9 @@ def is_strong(d: DiGraph) -> bool:
     if d.vertex_count <= 1:
         return True
     # Cheaper than full Tarjan: mutual reachability from vertex 0.
-    if len(_reachable_in_adj(d.out_adj, 0)) != d.vertex_count:
+    if _reachable_count(d.out_adj, 0) != d.vertex_count:
         return False
-    return len(_reachable_in_adj(d.in_adj, 0)) == d.vertex_count
+    return _reachable_count(d.in_adj, 0) == d.vertex_count
 
 
 @dataclass(frozen=True)
@@ -262,12 +272,20 @@ def verify_branching(d, b: Branching) -> CheckReport:
     """Check the branching invariants of ``b`` against a host graph.
 
     ``d`` only needs ``vertex_count`` and ``has_arc``, so a composition's
-    implicit view works as well as a materialized DiGraph.  Violations are
+    implicit view works as well as a materialized DiGraph.  A host that also
+    has the vectorised ``has_arcs`` (the implicit view does) is checked with
+    numpy; a DiGraph, small in practice, keeps the per-arc loop, which is
+    cheaper there.  Both report the same first problem.  Violations are
     reported, never raised.
     """
     n = d.vertex_count
     if not (0 <= b.root < n):
         return _fail(f"root {b.root} out of range for {n} vertices")
+    if hasattr(d, "has_arcs"):
+        try:
+            return _verify_branching_arrays(d, b)
+        except OverflowError:
+            pass  # an id beyond int64: the loop below names the first bad arc
     for u, v in b.arcs:
         if not (0 <= u < n and 0 <= v < n):
             return _fail(f"arc ({u},{v}) out of range")
@@ -310,6 +328,68 @@ def verify_branching(d, b: Branching) -> CheckReport:
     return _ok()
 
 
+def _verify_branching_arrays(d, b: Branching) -> CheckReport:
+    """`verify_branching` with numpy, against a host with ``has_arcs``.
+
+    Arcs are read in chunks, in the arc set's iteration order as the loop
+    reads them, so the first bad arc is the same one; reachability is
+    checked by pointer doubling.  Temporaries stay small next to the
+    branching itself.
+    """
+    n = d.vertex_count
+    m = len(b.arcs)
+    tails = np.empty(m, dtype=np.int64)
+    heads = np.empty(m, dtype=np.int64)
+    arcs = iter(b.arcs)
+    for start in range(0, m, _ARC_CHUNK):
+        chunk = np.fromiter(
+            chain.from_iterable(islice(arcs, _ARC_CHUNK)), dtype=np.int64
+        )
+        tail, head = chunk[0::2], chunk[1::2]
+        in_range = (tail >= 0) & (tail < n) & (head >= 0) & (head < n)
+        found = in_range.copy()
+        found[in_range] = d.has_arcs(tail[in_range], head[in_range])
+        if not found.all():
+            k = int(np.argmin(found))
+            u, v = int(tail[k]), int(head[k])
+            if not in_range[k]:
+                return _fail(f"arc ({u},{v}) out of range")
+            return _fail(f"arc ({u},{v}) is not an arc of the host digraph")
+        tails[start : start + len(tail)] = tail
+        heads[start : start + len(head)] = head
+    if m != n - 1:
+        return _fail(f"not spanning: {m} arcs for {n} vertices")
+
+    forward = b.kind == "out"
+    # Each non-root vertex points to its neighbour towards the root.
+    child, toward_root = (heads, tails) if forward else (tails, heads)
+    side = "in" if forward else "out"
+    degree = np.bincount(child, minlength=n)
+    if degree[b.root] != 0:
+        return _fail(f"root {b.root} has nonzero {side}-degree in the branching")
+    degree[b.root] = 1
+    wrong = np.flatnonzero(degree != 1)
+    if len(wrong):
+        v = int(wrong[0])
+        return _fail(f"vertex {v} has {side}-degree {degree[v]}, expected 1")
+    # Every degree is 1 now, so each entry of the buffer gets a pointer.
+    step = degree
+    step[child] = toward_root
+    step[b.root] = b.root
+    del tails, heads, child, toward_root  # free them before doubling
+    # After k squarings, step[v] is 2^k pointer steps from v (the root stays
+    # put); 2^k >= n steps reach the root from every vertex not on a cycle.
+    for _ in range(n.bit_length()):
+        step = step[step]
+    unreached = np.flatnonzero(step != b.root)
+    if len(unreached):
+        missing = int(unreached[0])
+        if forward:
+            return _fail(f"vertex {missing} unreachable from root {b.root}")
+        return _fail(f"root {b.root} not reachable from vertex {missing}")
+    return _ok()
+
+
 def verify_good_pair(d, gp: GoodPair) -> CheckReport:
     """Check both branchings, matching roots, and arc-disjointness."""
     problems: list[str] = []
@@ -336,3 +416,12 @@ def verify_good_pair(d, gp: GoodPair) -> CheckReport:
     if problems:
         return _fail(*problems)
     return _ok()
+
+
+def require_good_pair(d, gp: GoodPair, what: str) -> GoodPair:
+    """Return ``gp`` if `verify_good_pair` accepts it on ``d``; otherwise
+    raise ValueError("<what> does not verify: <first problem>")."""
+    report = verify_good_pair(d, gp)
+    if not report.ok:
+        raise ValueError(f"{what} does not verify: {report.first_problem}")
+    return gp

@@ -4,7 +4,8 @@ An ear decomposition is a starting cycle followed by path/cycle ears, each
 arc-disjoint from the rest, each attaching to the already-built subgraph:
 a path ear has two distinct built endpoints and only new vertices inside,
 a cycle ear meets the built subgraph in exactly its (repeated) endpoint.
-Together the ears use every arc exactly once.
+Together the ears use every arc exactly once.  `ear_walks` yields only the
+ears that cover new vertices, and stops once every vertex is covered.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Literal
+from typing import Iterable, Iterator, Literal
 
 from .digraph import Arc, CheckReport, DiGraph
 
@@ -101,51 +102,59 @@ def _bfs_path(d: DiGraph, source: int, target: int) -> list[int] | None:
     return None
 
 
-def ear_decompose(d: DiGraph, start: Ear) -> EarDecomposition:
-    """Greedy ear decomposition of a strong digraph with ``start`` as the
-    initial cycle.
+def ear_walks(d: DiGraph, start: Ear) -> Iterator[list[int]]:
+    """Vertex walks x, y, ..., z of the greedy ears that follow ``start``,
+    in order, until every vertex of ``d`` is covered.
 
     While uncovered vertices remain, take the smallest arc (x, y) leaving the
     built vertex set and extend it from y by a shortest return path through
     new vertices back to the built set (first hit in BFS scan order), giving
-    a path ear, or a cycle ear when the return lands on x.  Arcs whose both
-    endpoints were already built become length-1 path ears at the end, in
-    ascending order.  Worst case O(|V| * |A|); far cheaper on typical inputs.
+    a path ear, or a cycle ear when the return lands on x (z == x).  Every
+    walk has at least one internal, newly covered vertex.  The arcs are
+    merged lazily from each built vertex's sorted out-list, so arcs left
+    over once every vertex is covered are never touched.
     """
     n = d.vertex_count
     if start.kind != "initial_cycle" or not start.is_cycle:
         raise ValueError("starting ear must be an initial cycle")
-    used: set[Arc] = set()
+    seen: set[Arc] = set()
     for a in start.arcs:
         if a not in d.arcs:
             raise ValueError(f"starting cycle uses ({a[0]},{a[1]}), not an arc of d")
-        if a in used:
+        if a in seen:
             raise ValueError("starting cycle repeats an arc")
-        used.add(a)
-    built = bytearray(n)
-    heap: list[Arc] = []
-    out_adj = d.out_adj
-
-    def mark_built(v: int) -> None:
-        built[v] = 1
-        for w in out_adj[v]:
-            heapq.heappush(heap, (v, w))
-
+        seen.add(a)
     cycle_vertices = set(start.vertices)
     if len(cycle_vertices) != len(start.vertices) - 1:
         raise ValueError("starting cycle revisits a vertex")
+
+    out_adj = d.out_adj
+    built = bytearray(n)
+    # One entry (x, y, i) per built x with arcs left: y = out_adj[x][i] is
+    # x's smallest arc not yet taken, so pops come in ascending arc order.
+    heap: list[tuple[int, int, int]] = []
+
+    def mark_built(v: int) -> None:
+        built[v] = 1
+        if out_adj[v]:
+            heapq.heappush(heap, (v, out_adj[v][0], 0))
+
     for v in cycle_vertices:
         d.check_vertex(v)
         mark_built(v)
 
-    ears = [start]
     remaining = n - len(cycle_vertices)
     stamp = [0] * n
     run = 0
     while remaining:
         if not heap:
             raise ValueError("digraph is not strong: unreachable vertices remain")
-        x, y = heapq.heappop(heap)
+        x, y, i = heap[0]
+        nbrs = out_adj[x]
+        if i + 1 < len(nbrs):
+            heapq.heapreplace(heap, (x, nbrs[i + 1], i + 1))
+        else:
+            heapq.heappop(heap)
         if built[y]:
             continue
         run += 1
@@ -166,22 +175,31 @@ def ear_decompose(d: DiGraph, start: Ear) -> EarDecomposition:
         if end is None:
             raise ValueError("digraph is not strong: no return path to built set")
         u, z = end
-        segment = [z]
+        walk = [z]
         while u != -1:
-            segment.append(u)
+            walk.append(u)
             u = parent[u]
-        segment.append(x)
-        segment.reverse()  # x, y, ..., z
-        ear = Ear(segment, "cycle_ear" if z == x else "path_ear")
-        for a in ear.arcs:
-            used.add(a)
-        for v in ear.internal_vertices:
+        walk.append(x)
+        walk.reverse()  # x, y, ..., z
+        for v in walk[1:-1]:
             mark_built(v)
-        remaining -= len(ear.internal_vertices)
-        ears.append(ear)
+        remaining -= len(walk) - 2
+        yield walk
 
-    for a in sorted(d.arcs - used):
-        ears.append(Ear(a, "path_ear"))
+
+def ear_decompose(d: DiGraph, start: Ear) -> EarDecomposition:
+    """Greedy ear decomposition of a strong digraph with ``start`` as the
+    initial cycle: the ears of `ear_walks`, then every arc with both
+    endpoints already built as a length-1 path ear, in ascending order.
+    Worst case O(|V| * |A|); far cheaper on typical inputs.
+    """
+    ears = [start]
+    used = set(start.arcs)
+    for walk in ear_walks(d, start):
+        ear = Ear(walk, "cycle_ear" if walk[0] == walk[-1] else "path_ear")
+        used.update(ear.arcs)
+        ears.append(ear)
+    ears.extend(Ear(a, "path_ear") for a in sorted(d.arcs - used))
     return EarDecomposition(ears)
 
 

@@ -36,6 +36,10 @@ def _json_object(text: str, what: str) -> dict[str, Any]:
         raise FormatError(
             f"{what}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise FormatError(f"{what}: JSON nested too deeply") from None
+    except ValueError as exc:  # e.g. an integer over the interpreter's digit limit
+        raise FormatError(f"{what}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise FormatError(f"{what}: expected a JSON object, got {type(doc).__name__}")
     return doc
@@ -104,6 +108,8 @@ def parse_composition(text: str) -> CompositionSpec:
     if not isinstance(doc["T"], dict):
         raise FormatError("composition.T: expected a digraph object")
     outer = _digraph_from_doc(doc["T"], "composition.T")
+    if outer.vertex_count < 1:
+        raise FormatError("composition.T.n: the outer digraph needs at least 1 vertex")
     if not isinstance(doc["H"], list):
         raise FormatError("composition.H: expected a list of digraphs")
     if len(doc["H"]) != outer.vertex_count:
@@ -115,7 +121,10 @@ def parse_composition(text: str) -> CompositionSpec:
     for i, sub in enumerate(doc["H"]):
         if not isinstance(sub, dict):
             raise FormatError(f"composition.H[{i}]: expected a digraph object")
-        blobs.append(_digraph_from_doc(sub, f"composition.H[{i}]"))
+        blob = _digraph_from_doc(sub, f"composition.H[{i}]")
+        if blob.vertex_count < 1:
+            raise FormatError(f"composition.H[{i}].n: a blob needs at least 1 vertex")
+        blobs.append(blob)
     return CompositionSpec(outer, blobs)
 
 

@@ -14,7 +14,7 @@ from .digraph import (
     DiGraph,
     GoodPair,
     find_in_branching,
-    _reachable_in_adj,
+    _reachable_count,
 )
 
 DEFAULT_VERTEX_CAP = 14
@@ -51,7 +51,7 @@ def enumerate_out_branchings(
     if limit is not None and limit <= 0:
         return
     n = d.vertex_count
-    if len(_reachable_in_adj(d.out_adj, r)) != n:
+    if _reachable_count(d.out_adj, r) != n:
         return  # some vertex unreachable: no spanning out-branching exists
     vertices = [v for v in range(n) if v != r]
     in_adj = d.in_adj

@@ -31,6 +31,7 @@ from .digraph import (
     find_out_branching,
     induced_subgraph,
     is_strong,
+    require_good_pair,
     strong_components,
     verify_good_pair,
 )
@@ -96,9 +97,7 @@ def lift_good_pair(
     Heads of added out-arcs and tails of added in-arcs are removed vertices,
     so the result stays arc-disjoint by construction.
     """
-    rep = verify_good_pair(nr.restricted, restricted_pair)
-    if not rep.ok:
-        raise ValueError(f"restricted pair does not verify: {rep.first_problem}")
+    require_good_pair(nr.restricted, restricted_pair, "restricted pair")
     to_original = dict(enumerate(nr.kept))
     pair = _relabel_pair(restricted_pair, to_original)
     r = pair.root
@@ -173,9 +172,7 @@ def shrink_good_pair(
     and reports w.  All arcs ever added are incident to the root, so
     disjointness of the two trees survives.
     """
-    rep = verify_good_pair(q, gp)
-    if not rep.ok:
-        raise ValueError(f"input pair does not verify: {rep.first_problem}")
+    require_good_pair(q, gp, "input pair")
     r = gp.root
     if r in nr.removed:
         raise ValueError("root cannot be a removed vertex")
@@ -458,8 +455,9 @@ def decide_semicomplete(spec: CompositionSpec, root: BlobVertex) -> Decision:
     Fast path: when every blob has at least two vertices the constructor
     answers directly.  Otherwise the question is settled on the restriction
     to the root's closed neighbourhood by `decide_root_adjacent`, in time
-    linear in the restriction, and a pair found there is verified and lifted
-    back.  The answer is always "found" or "absent".
+    linear in the restriction, and a pair found there is verified, lifted
+    back and verified again on Q.  Either way a returned pair has passed
+    `verify_good_pair`.  The answer is always "found" or "absent".
     """
     if spec.blob_count < 2:
         raise ValueError("composition-level decision requires at least 2 blobs")
@@ -480,4 +478,5 @@ def decide_semicomplete(spec: CompositionSpec, root: BlobVertex) -> Decision:
     )
     if inner.pair is None:
         return inner
-    return Decision("found", pair=lift_good_pair(q, nr, inner.pair))
+    pair = lift_good_pair(q, nr, inner.pair)
+    return Decision("found", pair=require_good_pair(q, pair, "lifted pair"))

@@ -51,6 +51,14 @@ def test_solve_rejects_undersized_blob(tmp_path, capsys):
     assert "fewer than 2" in capsys.readouterr().err
 
 
+def test_solve_deeply_nested_input_is_invalid(tmp_path, capsys):
+    p = tmp_path / "nested.json"
+    p.write_text("[" * 100_000)
+    assert main(["solve", str(p), "--root", "1.1"]) == 2
+    err = capsys.readouterr().err
+    assert "nested too deeply" in err and "Traceback" not in err
+
+
 def test_solve_bad_root_syntax(spec_file, capsys):
     assert main(["solve", spec_file, "--root", "7"]) == 2
     assert "i.j" in capsys.readouterr().err

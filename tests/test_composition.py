@@ -1,17 +1,29 @@
 from __future__ import annotations
 
+from collections import Counter
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goodpairs import (
     BlobVertex,
+    Branching,
     CompositionSpec,
     DiGraph,
+    GoodPair,
+    construct_good_pair,
+    decide_semicomplete,
+    gen_composition,
+    gen_strong_digraph,
     is_semicomplete,
     materialize,
     validate_for_construction,
+    verify_good_pair,
 )
+
+from goodpairs.digraph import _ARC_CHUNK
 
 from strategies import digraphs
 
@@ -87,6 +99,10 @@ class TestHasArc:
                 if u == v:
                     continue
                 assert spec.has_arc_ids(u, v) == q.has_arc(u, v)
+        # The vectorised query, loops included, over every ordered pair at once.
+        tails, heads = (a.ravel() for a in np.indices((spec.total_vertices,) * 2))
+        expected = [q.has_arc(int(u), int(v)) for u, v in zip(tails, heads)]
+        assert spec.has_arcs(tails, heads).tolist() == expected
 
 
 class TestGlobalIds:
@@ -166,3 +182,156 @@ def test_implicit_view_matches_materialized():
         for v in range(6)
         if u != v
     )
+
+
+def _parity_pairs():
+    """(spec, good pair) on small compositions: the constructor's pairs with
+    blobs of 2-4, and decide_semicomplete's pairs with singleton blobs; about
+    half the specs have blob-internal arcs."""
+    for seed in range(40):
+        p = 0.5 if seed % 2 else 0.0
+        if seed % 4 < 2:
+            spec = gen_composition(2 + seed % 5, (2, 4), p, "strong", seed=seed)
+            yield spec, construct_good_pair(spec, BlobVertex(1 + seed % 2, 2))
+        else:
+            spec = gen_composition(3 + seed % 3, (1, 3), p, "semicomplete", seed=seed)
+            for blob in range(1, spec.blob_count + 1):
+                decision = decide_semicomplete(spec, BlobVertex(blob, 1))
+                if decision.found:
+                    yield spec, decision.pair
+                    break
+
+
+def _out_replaced(gp: GoodPair, old, new) -> GoodPair:
+    arcs = (gp.out_branching.arcs - {old}) | {new}
+    return GoodPair(gp.root, Branching(gp.root, "out", arcs), gp.in_branching)
+
+
+def _mutations(spec: CompositionSpec, q: DiGraph, gp: GoodPair):
+    """(name, broken pair) for every way of breaking ``gp`` that applies."""
+    r, out_b, in_b = gp.root, gp.out_branching, gp.in_branching
+    n = q.vertex_count
+    blob = [spec.blob_vertex(v).blob - 1 for v in range(n)]
+    first = min(out_b.arcs)
+
+    yield "drop", GoodPair(r, Branching(r, "out", out_b.arcs - {first}), in_b)
+    for u, v in sorted(out_b.arcs):
+        inside = [
+            w for w in range(n) if blob[w] == blob[v] and w != v and not q.has_arc(w, v)
+        ]
+        if inside:
+            yield "non-arc inside a blob", _out_replaced(gp, (u, v), (inside[0], v))
+            break
+    for u, v in sorted(out_b.arcs):
+        far = [
+            w
+            for w in range(n)
+            if blob[w] != blob[v] and not spec.outer.has_arc(blob[w], blob[v])
+        ]
+        if far:
+            yield "non-arc between blobs", _out_replaced(gp, (u, v), (far[0], v))
+            break
+    parent = {v: u for u, v in out_b.arcs}
+    extra = next((a for a in sorted(q.arcs - out_b.arcs) if a[1] != r), None)
+    if extra is not None:
+        dropped = next(a for a in sorted(out_b.arcs) if a[1] != extra[1])
+        yield "in-degree", _out_replaced(gp, dropped, extra)
+
+    def below(v: int, w: int) -> bool:  # is w a proper descendant of v?
+        while w in parent:
+            w = parent[w]
+            if w == v:
+                return True
+        return False
+
+    cycle = next(((w, v) for w, v in sorted(q.arcs) if v != r and below(v, w)), None)
+    if cycle is not None:
+        yield "cycle", _out_replaced(gp, (parent[cycle[1]], cycle[1]), cycle)
+    other = (r + 1) % n
+    yield "wrong root", GoodPair(
+        other, Branching(other, "out", out_b.arcs), Branching(other, "in", in_b.arcs)
+    )
+    succ = {u: v for u, v in in_b.arcs}
+
+    def drains_through(w: int, u: int) -> bool:  # does w's in-tree path meet u?
+        while w != r:
+            if w == u:
+                return True
+            w = succ[w]
+        return False
+
+    shared = next(
+        ((u, w) for u, w in sorted(out_b.arcs) if u != r and not drains_through(w, u)),
+        None,
+    )
+    if shared is not None:
+        u = shared[0]
+        in_arcs = (in_b.arcs - {(u, succ[u])}) | {shared}
+        yield "shared arc", GoodPair(r, out_b, Branching(r, "in", in_arcs))
+    in_cycle = next(
+        ((u, w) for u, w in sorted(q.arcs) if u != r and drains_through(w, u)),
+        None,
+    )
+    if in_cycle is not None:
+        u = in_cycle[0]
+        in_arcs = (in_b.arcs - {(u, succ[u])}) | {in_cycle}
+        yield "in-tree cycle", GoodPair(r, out_b, Branching(r, "in", in_arcs))
+    for bad in (n, -1, 2**70):
+        yield "out of range", _out_replaced(gp, first, (first[0], bad))
+    # Several bad arcs: both hosts must name the first in iteration order.
+    u, v = max(out_b.arcs)
+    arcs = (out_b.arcs - {first, (u, v)}) | {(first[0], n), (v, u + n)}
+    yield "two bad arcs", GoodPair(r, Branching(r, "out", arcs), in_b)
+    loops = {(w, w) for w in range(n) if w != r}
+    yield "many bad arcs", GoodPair(r, Branching(r, "out", loops), in_b)
+    yield "wrong kind", GoodPair(r, Branching(r, "in", out_b.arcs), in_b)
+
+
+def test_implicit_view_and_materialized_host_agree_on_broken_pairs():
+    """The vectorised verifier (implicit view) and the per-arc loop
+    (materialized DiGraph) accept the same pairs and name the same problems."""
+    seen = Counter()
+    for spec, gp in _parity_pairs():
+        q = materialize(spec)
+        view = spec.implicit_view()
+        assert verify_good_pair(view, gp).ok and verify_good_pair(q, gp).ok
+        for name, broken in _mutations(spec, q, gp):
+            flat = verify_good_pair(q, broken)
+            implicit = verify_good_pair(view, broken)
+            assert not flat.ok, name
+            assert implicit.problems == flat.problems, name
+            seen[name] += 1
+    assert set(seen) == {
+        "drop",
+        "non-arc inside a blob",
+        "non-arc between blobs",
+        "cycle",
+        "in-tree cycle",
+        "in-degree",
+        "wrong root",
+        "shared arc",
+        "out of range",
+        "two bad arcs",
+        "many bad arcs",
+        "wrong kind",
+    }, seen
+    assert min(seen.values()) >= 5, seen
+
+
+def test_verifiers_agree_beyond_the_first_arc_chunk():
+    t = 3000
+    spec = CompositionSpec(gen_strong_digraph(t, t, seed=5), [DiGraph(2)] * t)
+    q = materialize(spec)
+    view = spec.implicit_view()
+    gp = construct_good_pair(spec, BlobVertex(1, 1))
+    out_b = gp.out_branching
+    late = 0
+    for u, v in sorted(out_b.arcs)[::500]:
+        for bad in ((u, u ^ 1), (u, 2 * t)):  # inside u's empty blob; out of range
+            arcs = (out_b.arcs - {(u, v)}) | {bad}
+            broken = GoodPair(gp.root, Branching(gp.root, "out", arcs), gp.in_branching)
+            implicit = verify_good_pair(view, broken)
+            assert not implicit.ok
+            assert implicit.problems == verify_good_pair(q, broken).problems
+            late += list(arcs).index(bad) >= _ARC_CHUNK
+    assert late

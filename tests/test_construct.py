@@ -4,8 +4,10 @@ import pytest
 
 from goodpairs import (
     BlobVertex,
+    Branching,
     CompositionSpec,
     DiGraph,
+    GoodPair,
     construct_good_pair,
     decide_good_pair_exact,
     extend_layers,
@@ -317,6 +319,22 @@ class TestConstructGoodPair:
                             assert verify_good_pair(view, pair).ok
                             checked += 1
         assert checked > 5000
+
+    def test_unverified_pair_raises(self, c3, monkeypatch):
+        import goodpairs.construct as construct_module
+
+        def dropping_extend(skeleton, spec, root):
+            pair = extend_layers(skeleton, spec, root)
+            out = pair.out_branching
+            broken = Branching(out.root, "out", out.arcs - {min(out.arcs)})
+            return GoodPair(pair.root, broken, pair.in_branching)
+
+        monkeypatch.setattr(construct_module, "extend_layers", dropping_extend)
+        spec = CompositionSpec(c3, [DiGraph(2)] * 3)
+        with pytest.raises(
+            ValueError, match="constructed pair does not verify: out-branching invalid"
+        ):
+            construct_good_pair(spec, bv(1, 1))
 
     def test_root_out_of_range(self, c3):
         spec = CompositionSpec(c3, [DiGraph(2)] * 3)

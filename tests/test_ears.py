@@ -8,9 +8,11 @@ from goodpairs import (
     EarDecomposition,
     cycle_through,
     ear_decompose,
+    gen_composition,
     gen_strong_digraph,
     verify_ear_decomposition,
 )
+from goodpairs.ears import ear_walks
 
 
 class TestCycleThrough:
@@ -115,3 +117,22 @@ def test_every_root_of_seeded_strong_digraphs_decomposes():
             ed = ear_decompose(d, cycle_through(d, v))
             rep = verify_ear_decomposition(d, ed)
             assert rep.ok, (seed, v, rep.problems)
+
+
+def test_walks_are_the_decomposition_ears_with_internal_vertices():
+    """`ear_walks` yields exactly the ears of `ear_decompose` that cover a
+    vertex, in order, and nothing once every vertex is covered."""
+    # The outers of acceptance C1's specs, then larger seeded ones.
+    outers = [
+        gen_composition(2 + s % 7, (2, 4), 0.3 if s % 2 else 0.0, "strong", seed=s).outer
+        for s in range(500)
+    ]
+    outers += [gen_strong_digraph(8 + s, 3 * s, seed=s) for s in range(30)]
+    for d in outers:
+        for v in range(d.vertex_count):
+            start = cycle_through(d, v)
+            walks = [tuple(w) for w in ear_walks(d, start)]
+            ears = ear_decompose(d, start).ears[1:]
+            assert walks == [e.vertices for e in ears if e.internal_vertices]
+            covered = len(start.vertices) - 1 + sum(len(w) - 2 for w in walks)
+            assert covered == d.vertex_count

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import json
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from goodpairs import (
     Branching,
@@ -22,6 +26,25 @@ from goodpairs.io import (
     serialize_ear_decomposition,
     serialize_good_pair,
 )
+
+
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(["n", "arcs", "T", "H", "root", "out_arcs", "in_arcs", "x"]),
+        inner,
+        max_size=4,
+    ),
+    max_leaves=20,
+)
+# Arbitrary text, and JSON built from the formats' own keys, which gets far
+# past the syntax checks.
+_documents = st.text() | _json_values.map(json.dumps)
 
 
 class TestDigraphFormat:
@@ -80,6 +103,33 @@ class TestCompositionFormat:
         text = '{"T":{"n":2,"arcs":[[0,1],[1,0]]},"H":[{"n":1,"arcs":[]},{"n":1,"arcs":[[0,0]]}]}'
         with pytest.raises(FormatError, match=r"H\[1\]"):
             parse_composition(text)
+
+    def test_empty_outer_named(self):
+        with pytest.raises(FormatError, match=r"composition\.T\.n"):
+            parse_composition('{"T":{"n":0,"arcs":[]},"H":[]}')
+
+    def test_empty_blob_named(self):
+        text = '{"T":{"n":2,"arcs":[[0,1],[1,0]]},"H":[{"n":0,"arcs":[]},{"n":1,"arcs":[]}]}'
+        with pytest.raises(FormatError, match=r"composition\.H\[0\]\.n"):
+            parse_composition(text)
+
+
+class TestMalformedText:
+    def test_deep_nesting(self):
+        with pytest.raises(FormatError, match="nested too deeply"):
+            parse_composition("[" * 100_000)
+
+    def test_integer_over_digit_limit(self):
+        with pytest.raises(FormatError, match="invalid JSON"):
+            parse_digraph('{"n": ' + "1" * 5000 + ', "arcs": []}')
+
+    @given(_documents)
+    def test_parsers_return_or_raise_format_error(self, text):
+        for parse in (parse_digraph, parse_composition, parse_good_pair):
+            try:
+                parse(text)
+            except FormatError:
+                pass
 
 
 class TestGoodPairFormat:
