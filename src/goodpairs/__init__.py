@@ -20,7 +20,6 @@ from .construct import (
 )
 from .digraph import (
     Branching,
-    CheckReport,
     DiGraph,
     GoodPair,
     find_in_branching,
@@ -41,8 +40,6 @@ from .ears import (
 from .generate import gen_composition, gen_semicomplete, gen_strong_digraph
 from .oracle import Decision, decide_good_pair_exact, enumerate_out_branchings
 from .semicomplete import (
-    NeighborhoodRestriction,
-    ShrinkResult,
     closed_neighborhood_restriction,
     decide_root_adjacent,
     decide_semicomplete,
@@ -53,15 +50,12 @@ from .semicomplete import (
 __all__ = [
     "BlobVertex",
     "Branching",
-    "CheckReport",
     "CompositionSpec",
     "Decision",
     "DiGraph",
     "Ear",
     "EarDecomposition",
     "GoodPair",
-    "NeighborhoodRestriction",
-    "ShrinkResult",
     "closed_neighborhood_restriction",
     "construct_good_pair",
     "cycle_through",

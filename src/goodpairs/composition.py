@@ -99,9 +99,6 @@ class CompositionSpec:
             return self.outer.has_arc(a.blob - 1, b.blob - 1)
         return self.blobs[a.blob - 1].has_arc(a.layer - 1, b.layer - 1)
 
-    def has_arc_ids(self, u: int, v: int) -> bool:
-        return self.has_arc(self.blob_vertex(u), self.blob_vertex(v))
-
     @cached_property
     def blob_of(self) -> np.ndarray:
         """blob_of[v] is the outer vertex (0-based) whose blob holds global id v."""
@@ -134,8 +131,10 @@ class CompositionSpec:
         return keys
 
     def has_arcs(self, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
-        """Vectorised `has_arc_ids`: a mask over the pairs (tails[k], heads[k])
-        of global ids, which must lie in range."""
+        """Implicit arc query on global ids: a mask over the pairs
+        (tails[k], heads[k]), which must lie in range."""
+        tails = tails.astype(np.int64, copy=False)  # in range, so int64 holds them
+        heads = heads.astype(np.int64, copy=False)
         keys = self.blob_of[tails]
         head_blobs = self.blob_of[heads]
         same = keys == head_blobs
@@ -170,19 +169,15 @@ def _members(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ImplicitCompositionView:
-    """Duck-typed stand-in for a materialized DiGraph (vertex_count/has_arc),
-    used to verify branchings on compositions too large to materialize.  Its
-    ``has_arcs`` sends `verify_branching` down the vectorised path; the
-    arrays behind it are cached on the spec, so fresh views stay cheap."""
+    """A verifier host (``vertex_count`` and ``has_arcs``) for a composition,
+    so branchings are checked without materializing it.  The arrays behind
+    ``has_arcs`` are cached on the spec, so fresh views stay cheap."""
 
     spec: CompositionSpec
 
     @property
     def vertex_count(self) -> int:
         return self.spec.total_vertices
-
-    def has_arc(self, u: int, v: int) -> bool:
-        return self.spec.has_arc_ids(u, v)
 
     def has_arcs(self, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
         return self.spec.has_arcs(tails, heads)

@@ -19,8 +19,8 @@ Arc = tuple[int, int]
 
 BranchingKind = Literal["out", "in"]
 
-# Arcs read at a time by the vectorised `verify_branching`; bounds its
-# temporaries well below the size of the branching it checks.
+# Arcs read at a time by `verify_branching`; bounds its temporaries well
+# below the size of the branching it checks.
 _ARC_CHUNK = 4096
 
 
@@ -86,6 +86,11 @@ class DiGraph:
 
     def has_arc(self, u: int, v: int) -> bool:
         return (u, v) in self.arcs
+
+    def has_arcs(self, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
+        """Mask over the pairs (tails[k], heads[k]); exact for ids of any size."""
+        pairs = zip(tails.tolist(), heads.tolist())
+        return np.fromiter(((u, v) in self.arcs for u, v in pairs), bool, len(tails))
 
     def reverse(self) -> DiGraph:
         return DiGraph(self.vertex_count, ((v, u) for u, v in self.arcs))
@@ -271,82 +276,33 @@ def _bfs_tree_arcs(adj: tuple[tuple[int, ...], ...], r: int) -> list[Arc]:
 def verify_branching(d, b: Branching) -> CheckReport:
     """Check the branching invariants of ``b`` against a host graph.
 
-    ``d`` only needs ``vertex_count`` and ``has_arc``, so a composition's
-    implicit view works as well as a materialized DiGraph.  A host that also
-    has the vectorised ``has_arcs`` (the implicit view does) is checked with
-    numpy; a DiGraph, small in practice, keeps the per-arc loop, which is
-    cheaper there.  Both report the same first problem.  Violations are
-    reported, never raised.
+    ``d`` only needs ``vertex_count`` and ``has_arcs(tails, heads)``, so a
+    composition's implicit view works as well as a DiGraph.  Arcs are read
+    in chunks, in the arc set's iteration order, and the first bad one is
+    named; then the count, degrees by ``bincount`` and reachability by
+    pointer doubling.  Temporaries stay small next to the branching itself.
+    Violations are reported, never raised.
     """
     n = d.vertex_count
     if not (0 <= b.root < n):
         return _fail(f"root {b.root} out of range for {n} vertices")
-    if hasattr(d, "has_arcs"):
-        try:
-            return _verify_branching_arrays(d, b)
-        except OverflowError:
-            pass  # an id beyond int64: the loop below names the first bad arc
-    for u, v in b.arcs:
-        if not (0 <= u < n and 0 <= v < n):
-            return _fail(f"arc ({u},{v}) out of range")
-        if not d.has_arc(u, v):
-            return _fail(f"arc ({u},{v}) is not an arc of the host digraph")
-    if len(b.arcs) != n - 1:
-        return _fail(f"not spanning: {len(b.arcs)} arcs for {n} vertices")
-
-    forward = b.kind == "out"
-    # In an out-tree every non-root vertex has in-degree 1; in an in-tree,
-    # out-degree 1.  Either way the root's degree on that side is 0.
-    degree = [0] * n
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in b.arcs:
-        if forward:
-            degree[v] += 1
-            adj[u].append(v)
-        else:
-            degree[u] += 1
-            adj[v].append(u)
-    side = "in" if forward else "out"
-    if degree[b.root] != 0:
-        return _fail(f"root {b.root} has nonzero {side}-degree in the branching")
-    for v in range(n):
-        if v != b.root and degree[v] != 1:
-            return _fail(f"vertex {v} has {side}-degree {degree[v]}, expected 1")
-    seen = {b.root}
-    queue = deque([b.root])
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    if len(seen) != n:
-        missing = min(set(range(n)) - seen)
-        if forward:
-            return _fail(f"vertex {missing} unreachable from root {b.root}")
-        return _fail(f"root {b.root} not reachable from vertex {missing}")
-    return _ok()
-
-
-def _verify_branching_arrays(d, b: Branching) -> CheckReport:
-    """`verify_branching` with numpy, against a host with ``has_arcs``.
-
-    Arcs are read in chunks, in the arc set's iteration order as the loop
-    reads them, so the first bad arc is the same one; reachability is
-    checked by pointer doubling.  Temporaries stay small next to the
-    branching itself.
-    """
-    n = d.vertex_count
     m = len(b.arcs)
-    tails = np.empty(m, dtype=np.int64)
-    heads = np.empty(m, dtype=np.int64)
+    # Only a spanning branching gets past the arc reads, and then every id
+    # is below n = m + 1, so int64 holds it.
+    spanning = m == n - 1
+    if spanning:
+        tails = np.empty(m, dtype=np.int64)
+        heads = np.empty(m, dtype=np.int64)
     arcs = iter(b.arcs)
     for start in range(0, m, _ARC_CHUNK):
-        chunk = np.fromiter(
-            chain.from_iterable(islice(arcs, _ARC_CHUNK)), dtype=np.int64
-        )
+        pairs = list(islice(arcs, _ARC_CHUNK))
+        try:
+            chunk = np.fromiter(chain.from_iterable(pairs), np.int64, 2 * len(pairs))
+        except OverflowError:  # an id beyond int64: compare exact ints instead
+            chunk = np.array(list(chain.from_iterable(pairs)), dtype=object)
         tail, head = chunk[0::2], chunk[1::2]
-        in_range = (tail >= 0) & (tail < n) & (head >= 0) & (head < n)
+        id_ok = (chunk >= 0) & (chunk < n)
+        in_range = id_ok[0::2] & id_ok[1::2]
         found = in_range.copy()
         found[in_range] = d.has_arcs(tail[in_range], head[in_range])
         if not found.all():
@@ -355,9 +311,10 @@ def _verify_branching_arrays(d, b: Branching) -> CheckReport:
             if not in_range[k]:
                 return _fail(f"arc ({u},{v}) out of range")
             return _fail(f"arc ({u},{v}) is not an arc of the host digraph")
-        tails[start : start + len(tail)] = tail
-        heads[start : start + len(head)] = head
-    if m != n - 1:
+        if spanning:
+            tails[start : start + len(tail)] = tail
+            heads[start : start + len(head)] = head
+    if not spanning:
         return _fail(f"not spanning: {m} arcs for {n} vertices")
 
     forward = b.kind == "out"

@@ -235,6 +235,14 @@ def _prune_toward_root(
     ``pointers`` maps every non-root vertex to its next vertex toward the
     root.  Returns (pruned map, stuck vertex, fallback count); the map is
     None when some removed vertex cannot be eliminated.
+
+    Quadratic: each pass drops one removed leaf or rewires one kept vertex
+    (never the same one twice), so there are at most p passes over p
+    pointers, and each rebuilds the children map, sorts the leaves and
+    rescans leaf paths up to the first that meets a removed vertex; that is
+    O(p (p log p + L)) time, L being the length of the paths scanned in one
+    pass.  Measured on outer 0->1->2->0 plus 1->0 with blobs of (n, 3, 3),
+    root at 1.1: 0.34 s at 999 removed vertices, 1.29 s at 1999.
     """
     pointers = dict(pointers)
     alive_removed = set(removed) & set(pointers)

@@ -2,15 +2,17 @@
 
 Everything here is deliberately naive and self-contained: reachability by
 hand-rolled BFS over arc sets, branching candidates by iterating raw arc
-subsets.  Keep it that way; these functions must not share search logic
-with the code they check.
+subsets, and a per-arc loop as the reference for the branching verifier.
+Keep it that way; these functions must not share search logic with the
+code they check.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations, product
 
-from goodpairs import Branching, DiGraph, verify_branching
+from goodpairs import DiGraph
 
 
 def reachable_from(arcs, n: int, start: int) -> set[int]:
@@ -36,13 +38,13 @@ def all_reach(arcs, n: int, target: int) -> bool:
 
 
 def subset_out_branchings(d: DiGraph, r: int) -> set[frozenset]:
-    """Every (n-1)-arc subset that verifies as an out-branching at r."""
+    """Every (n-1)-arc subset that is an out-branching at r: n - 1 arcs of
+    the host that reach all n vertices from r."""
     n = d.vertex_count
     found = set()
     for subset in combinations(sorted(d.arcs), max(n - 1, 0)):
-        b = Branching(r, "out", subset)
-        if verify_branching(d, b).ok:
-            found.add(b.arcs)
+        if len(reachable_from(subset, n, r)) == n:
+            found.add(frozenset(subset))
     return found
 
 
@@ -53,13 +55,58 @@ def subset_good_pair_exists(d: DiGraph, r: int) -> bool:
         return False
     arcs = sorted(d.arcs)
     for subset in combinations(arcs, n - 1):
-        b = Branching(r, "out", subset)
-        if not verify_branching(d, b).ok:
+        if len(reachable_from(subset, n, r)) != n:
             continue
         rest = set(d.arcs) - set(subset)
         if all_reach(rest, n, r):
             return True
     return n == 1
+
+
+def reference_branching_problems(d: DiGraph, b) -> tuple[str, ...]:
+    """The problems `goodpairs.verify_branching` should report for ``b`` on
+    the flat host ``d``, found by a per-arc loop: at most one, the first
+    violation in the order range, membership, count, degree, reachability,
+    reading the arcs in the arc set's iteration order."""
+    n = d.vertex_count
+    if not (0 <= b.root < n):
+        return (f"root {b.root} out of range for {n} vertices",)
+    for u, v in b.arcs:
+        if not (0 <= u < n and 0 <= v < n):
+            return (f"arc ({u},{v}) out of range",)
+        if (u, v) not in d.arcs:
+            return (f"arc ({u},{v}) is not an arc of the host digraph",)
+    if len(b.arcs) != n - 1:
+        return (f"not spanning: {len(b.arcs)} arcs for {n} vertices",)
+    forward = b.kind == "out"
+    degree = [0] * n
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in b.arcs:
+        if forward:
+            degree[v] += 1
+            adj[u].append(v)
+        else:
+            degree[u] += 1
+            adj[v].append(u)
+    side = "in" if forward else "out"
+    if degree[b.root] != 0:
+        return (f"root {b.root} has nonzero {side}-degree in the branching",)
+    for v in range(n):
+        if v != b.root and degree[v] != 1:
+            return (f"vertex {v} has {side}-degree {degree[v]}, expected 1",)
+    seen = {b.root}
+    queue = deque([b.root])
+    while queue:
+        for w in adj[queue.popleft()]:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    if len(seen) != n:
+        missing = min(set(range(n)) - seen)
+        if forward:
+            return (f"vertex {missing} unreachable from root {b.root}",)
+        return (f"root {b.root} not reachable from vertex {missing}",)
+    return ()
 
 
 def mutually_reachable(d: DiGraph, x: int, y: int) -> bool:

@@ -159,6 +159,23 @@ def test_verify_rejects_tampered_pair(tmp_path, capsys):
     assert report["valid"] is False
 
 
+def test_verify_ids_beyond_int64(tmp_path, capsys):
+    big = 2**63 + 1
+    q = tmp_path / "q.json"
+    q.write_text(json.dumps({"n": 2**63 + 5, "arcs": [[big, 0]]}))
+    pair = tmp_path / "p.json"
+    pair.write_text(json.dumps({"root": 0, "out_arcs": [[0, big]], "in_arcs": [[big, 0]]}))
+    assert main(["verify", str(q), str(pair)]) == 2
+    out, err = capsys.readouterr()
+    assert out == (
+        '{"valid": false, "problems": ["out-branching invalid: arc '
+        '(0,9223372036854775809) is not an arc of the host digraph", '
+        '"in-branching invalid: not spanning: 1 arcs for 9223372036854775813 '
+        'vertices"]}\n'
+    )
+    assert err == ""
+
+
 def test_shrink_command(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(SPEC_C3_K2BAR)

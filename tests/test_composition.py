@@ -20,11 +20,13 @@ from goodpairs import (
     is_semicomplete,
     materialize,
     validate_for_construction,
+    verify_branching,
     verify_good_pair,
 )
 
 from goodpairs.digraph import _ARC_CHUNK
 
+from bruteforce import reference_branching_problems
 from strategies import digraphs
 
 
@@ -94,11 +96,6 @@ class TestHasArc:
         if spec.total_vertices > 30:
             return
         q = materialize(spec)
-        for u in range(spec.total_vertices):
-            for v in range(spec.total_vertices):
-                if u == v:
-                    continue
-                assert spec.has_arc_ids(u, v) == q.has_arc(u, v)
         # The vectorised query, loops included, over every ordered pair at once.
         tails, heads = (a.ravel() for a in np.indices((spec.total_vertices,) * 2))
         expected = [q.has_arc(int(u), int(v)) for u, v in zip(tails, heads)]
@@ -176,12 +173,11 @@ def test_implicit_view_matches_materialized():
     q = materialize(spec)
     view = spec.implicit_view()
     assert view.vertex_count == q.vertex_count
-    assert all(
-        view.has_arc(u, v) == q.has_arc(u, v)
-        for u in range(6)
-        for v in range(6)
-        if u != v
-    )
+    # Every ordered pair, loops included.
+    tails, heads = (a.ravel() for a in np.indices((q.vertex_count,) * 2))
+    flat = q.has_arcs(tails, heads)
+    assert view.has_arcs(tails, heads).tolist() == flat.tolist()
+    assert flat.sum() == len(q.arcs)
 
 
 def _parity_pairs():
@@ -287,19 +283,29 @@ def _mutations(spec: CompositionSpec, q: DiGraph, gp: GoodPair):
     yield "wrong kind", GoodPair(r, Branching(r, "in", out_b.arcs), in_b)
 
 
+def _assert_hosts_agree(spec: CompositionSpec, q: DiGraph, gp: GoodPair, name: str):
+    """The implicit view, the materialized DiGraph and the per-arc reference
+    name the same problems, branching by branching and for the pair."""
+    view = spec.implicit_view()
+    for b in (gp.out_branching, gp.in_branching):
+        expected = reference_branching_problems(q, b)
+        assert verify_branching(q, b).problems == expected, name
+        assert verify_branching(view, b).problems == expected, name
+    assert verify_good_pair(view, gp).problems == verify_good_pair(q, gp).problems, name
+
+
 def test_implicit_view_and_materialized_host_agree_on_broken_pairs():
-    """The vectorised verifier (implicit view) and the per-arc loop
-    (materialized DiGraph) accept the same pairs and name the same problems."""
+    """The verifier on the implicit view and on the materialized DiGraph
+    accepts the same pairs as the per-arc reference and names the same
+    problems."""
     seen = Counter()
     for spec, gp in _parity_pairs():
         q = materialize(spec)
-        view = spec.implicit_view()
-        assert verify_good_pair(view, gp).ok and verify_good_pair(q, gp).ok
+        assert verify_good_pair(spec.implicit_view(), gp).ok
+        _assert_hosts_agree(spec, q, gp, "unbroken")
         for name, broken in _mutations(spec, q, gp):
-            flat = verify_good_pair(q, broken)
-            implicit = verify_good_pair(view, broken)
-            assert not flat.ok, name
-            assert implicit.problems == flat.problems, name
+            assert not verify_good_pair(q, broken).ok, name
+            _assert_hosts_agree(spec, q, broken, name)
             seen[name] += 1
     assert set(seen) == {
         "drop",
@@ -330,8 +336,7 @@ def test_verifiers_agree_beyond_the_first_arc_chunk():
         for bad in ((u, u ^ 1), (u, 2 * t)):  # inside u's empty blob; out of range
             arcs = (out_b.arcs - {(u, v)}) | {bad}
             broken = GoodPair(gp.root, Branching(gp.root, "out", arcs), gp.in_branching)
-            implicit = verify_good_pair(view, broken)
-            assert not implicit.ok
-            assert implicit.problems == verify_good_pair(q, broken).problems
+            assert not verify_good_pair(view, broken).ok
+            _assert_hosts_agree(spec, q, broken, str(bad))
             late += list(arcs).index(bad) >= _ARC_CHUNK
     assert late

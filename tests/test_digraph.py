@@ -176,6 +176,18 @@ class TestVerifyBranching:
         assert verify_branching(DiGraph(1), Branching(0, "out", [])).ok
         assert verify_branching(DiGraph(1), Branching(0, "in", [])).ok
 
+    def test_ids_beyond_int64(self):
+        big = 2**63 + 1
+        d = DiGraph(2**63 + 5, [(big, 0)])
+        rep = verify_branching(d, Branching(0, "in", [(big, 0)]))
+        assert rep.problems == (
+            "not spanning: 1 arcs for 9223372036854775813 vertices",
+        )
+        rep = verify_branching(d, Branching(0, "out", [(0, big)]))
+        assert rep.problems == (
+            "arc (0,9223372036854775809) is not an arc of the host digraph",
+        )
+
 
 class TestVerifyGoodPair:
     def test_two_cycle_pair(self):
