@@ -58,7 +58,6 @@ print(f"pair on the restriction: {inner.status}")
 lifted = lift_good_pair(q, nr, inner.pair)
 print(f"lifted pair verifies on Q: {verify_good_pair(q, lifted).ok}")
 shrunk = shrink_good_pair(q, nr, lifted)
-print(f"shrinking it back succeeds: {shrunk.ok} "
-      f"(fallback rewires: {shrunk.fallback_rewires})")
+print(f"shrinking it back succeeds: {shrunk.ok}")
 full = decide_semicomplete(spec, BlobVertex(1, 1))
 print(f"decide_semicomplete at 1.1: {full.status}")

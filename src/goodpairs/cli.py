@@ -67,9 +67,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     spec = gio.parse_composition(_read(args.spec))
     root = _parse_blob_root(args.root)
     pair = construct_good_pair(spec, root)
-    print(gio.serialize_good_pair(pair))
-    host = materialize(spec) if args.materialize else None
+    host = materialize(spec) if args.materialize and args.dot else None
     _write_dot(args, pair, host)
+    print(gio.serialize_good_pair(pair))
     return EXIT_FOUND
 
 
@@ -174,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--materialize",
         action="store_true",
-        help="include non-pair arcs of the composition in the DOT output",
+        help="include non-pair arcs of the composition in the --dot output",
     )
     p.set_defaults(func=_cmd_solve)
 

@@ -193,6 +193,41 @@ def test_shrink_command(tmp_path, capsys):
     assert doc["pair"]["root"] == 0
 
 
+def test_shrink_rejects_pair_rooted_elsewhere(tmp_path, capsys):
+    assert main(["gen", "composition", "--t", "3", "--blob-min", "1", "--blob-max", "2",
+                 "--outer", "semicomplete", "--seed", "1"]) == 0
+    spec = tmp_path / "s.json"
+    spec.write_text(capsys.readouterr().out)
+    assert main(["compose", str(spec)]) == 0
+    q = tmp_path / "q.json"
+    q.write_text(capsys.readouterr().out)
+    assert main(["oracle", str(q), "--root", "0"]) == 0
+    pair = tmp_path / "p.json"
+    pair.write_text(capsys.readouterr().out)
+    assert main(["shrink", str(q), str(pair), "--root", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: pair root 0 is not the restriction's root 2\n"
+
+
+def test_solve_materialize_only_for_dot(tmp_path, capsys):
+    # Two blobs of 1500 vertices on a 2-cycle: 4.5M arcs, over materialize's
+    # 2M-arc limit, while the constructor needs only the implicit view.
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "T": {"n": 2, "arcs": [[0, 1], [1, 0]]},
+        "H": [{"n": 1500, "arcs": []}, {"n": 1500, "arcs": []}],
+    }))
+    assert main(["solve", str(spec), "--root", "1.1", "--materialize"]) == 0
+    assert json.loads(capsys.readouterr().out)["root"] == 0
+    dot = tmp_path / "pair.dot"
+    assert main(["solve", str(spec), "--root", "1.1", "--materialize", "--dot", str(dot)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "over the limit of 2000000" in err
+    assert not dot.exists()
+
+
 def test_gen_commands_deterministic(capsys):
     assert main(["gen", "strong", "--t", "5", "--extra-arcs", "3", "--seed", "9"]) == 0
     first = capsys.readouterr().out

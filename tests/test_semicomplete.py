@@ -7,6 +7,7 @@ from goodpairs import (
     CompositionSpec,
     DiGraph,
     closed_neighborhood_restriction,
+    construct_good_pair,
     decide_good_pair_exact,
     decide_root_adjacent,
     decide_semicomplete,
@@ -157,7 +158,44 @@ class TestShrink:
         result = shrink_good_pair(q, nr, pair)
         assert not result.ok
         assert result.stuck_vertex == 4
-        assert "no vertex below 4" in result.message
+        assert result.message == (
+            "out-branching: vertex 3 under removed vertex 4 has no arc from the root"
+        )
+
+    def test_two_faults_report_the_first_kept_vertex(self):
+        # Removed vertex 0 is the out-parent of kept vertices 2, 3, 4, 5, 7
+        # and 8; the root has no arc to any of them.
+        from goodpairs import Branching, GoodPair
+
+        spec = gen_composition(3, (1, 4), 0.4, "semicomplete", 141)
+        q = materialize(spec)
+        r = spec.global_id(BlobVertex(1, 2))
+        assert r == 1
+        pair = GoodPair(
+            r,
+            Branching(r, "out", [(0, 2), (0, 3), (0, 4), (0, 5), (0, 7), (0, 8), (1, 6), (6, 0)]),
+            Branching(r, "in", [(0, 6), (2, 1), (3, 1), (4, 6), (5, 6), (6, 1), (7, 1), (8, 1)]),
+        )
+        nr = closed_neighborhood_restriction(q, r)
+        result = shrink_good_pair(q, nr, pair)
+        assert not result.ok
+        assert result.stuck_vertex == 0
+        assert result.message == (
+            "out-branching: vertex 2 under removed vertex 0 has no arc from the root"
+        )
+
+    def test_linear_at_scale(self):
+        # Outer 0->1->2->0 plus 1->0, blobs of (2000, 3, 3), root at 1.1:
+        # 1999 removed vertices, each rewired in one pass.
+        outer = DiGraph(3, [(0, 1), (1, 2), (2, 0), (1, 0)])
+        spec = CompositionSpec(outer, [DiGraph(2000), DiGraph(3), DiGraph(3)])
+        q = materialize(spec)
+        root = BlobVertex(1, 1)
+        nr = closed_neighborhood_restriction(q, spec.global_id(root))
+        assert len(nr.removed) == 1999
+        result = shrink_good_pair(q, nr, construct_good_pair(spec, root))
+        assert result.ok, result.message
+        assert verify_good_pair(nr.restricted, result.pair).ok
 
 
 class TestDecideSemicomplete:
