@@ -90,7 +90,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     d = gio.parse_digraph(_read(args.digraph))
     if args.enumerate:
         for b in enumerate_out_branchings(d, args.root, limit=args.limit):
-            print(json.dumps({"root": b.root, "arcs": [list(a) for a in sorted(b.arcs)]}))
+            print(json.dumps({"root": b.root, "arcs": gio.branching_arc_list(b)}))
         return EXIT_FOUND
     decision = decide_good_pair_exact(d, args.root, vertex_cap=args.kernel_cap)
     if decision.found:

@@ -14,10 +14,15 @@ Skeleton vertices are ints: ``2 * b + k`` is layer ``k + 1`` of the blob
 carried by outer vertex ``b`` (0-based).  A skeleton pair is two lists over
 these ids, ``out_parent`` (the tail of each vertex's in-arc in the out-tree)
 and ``in_next`` (the head of each vertex's out-arc in the in-tree), with -1
-at the root, which is always layer 1 of the root blob.
+at the root, which is always layer 1 of the root blob.  `extend_layers`
+turns them into the same two pointer arrays over all global ids, with numpy,
+and the finished `Branching`s hold their arcs as sorted int arrays from there
+through verification to the printed pair.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .composition import BlobVertex, CompositionSpec, validate_for_construction
 from .digraph import Branching, DiGraph, GoodPair, require_good_pair
@@ -113,8 +118,13 @@ def extend_layers(
     and sends an in-tree arc to its in-tree successor.  Added arcs touch the
     extra layers only on one side, so disjointness with the skeleton is
     automatic.
+
+    Both trees are built as int64 pointer arrays over the global ids (out-
+    tree parent, in-tree successor, -1 at the root), a few whole-array numpy
+    operations with no per-vertex Python work, and become branchings through
+    `Branching.from_pointers`.
     """
-    out_parent, in_next = skeleton
+    out_parent, in_next = (np.asarray(s, dtype=np.int64) for s in skeleton)
     t = spec.blob_count
     if len(out_parent) != 2 * t or len(in_next) != 2 * t:
         raise ValueError("skeleton pair does not cover every blob")
@@ -122,34 +132,28 @@ def extend_layers(
     rb = root.blob - 1
     if out_parent[2 * rb] != -1:
         raise ValueError(f"skeleton pair is not rooted at blob {root.blob}")
-    sizes = [h.vertex_count for h in spec.blobs]
-    for i, size in enumerate(sizes, start=1):
-        if size < 2:
-            raise ValueError(f"blob {i} has fewer than 2 vertices")
+    offs = np.asarray(spec.offsets, dtype=np.int64)
+    small = np.flatnonzero(np.diff(offs) < 2)
+    if len(small):
+        raise ValueError(f"blob {small[0] + 1} has fewer than 2 vertices")
 
-    offs = spec.offsets
-    gid = [offs[s >> 1] + (s & 1) for s in range(2 * t)]
-    first = offs[rb]
+    gid = np.repeat(offs[:-1], 2)
+    gid[1::2] += 1
+    first = int(offs[rb])
     r = first + root.layer - 1
     gid[2 * rb] = r
     if root.layer == 2:
         gid[2 * rb + 1] = first
-    out_arcs = [(gid[p], gid[s]) for s, p in enumerate(out_parent) if p >= 0]
-    in_arcs = [(gid[s], gid[n]) for s, n in enumerate(in_next) if n >= 0]
-    for b, size in enumerate(sizes):
-        if size == 2:
-            continue
-        feeder = gid[out_parent[2 * b + 1]]
-        drain = gid[in_next[2 * b + 1]]
-        extras = range(offs[b] + 2, offs[b] + size)
-        if b == rb and root.layer >= 3:
-            extras = [first if v == r else v for v in extras]
-        out_arcs.extend((feeder, v) for v in extras)
-        in_arcs.extend((v, drain) for v in extras)
+    # Every vertex off the skeleton is an extra layer of its blob; it takes
+    # the pointers of its blob's skeleton layer 2.  Then the skeleton's own.
+    out_tree = gid[out_parent[1::2]][spec.blob_of]
+    in_tree = gid[in_next[1::2]][spec.blob_of]
+    out_tree[gid] = np.where(out_parent >= 0, gid[out_parent], -1)
+    in_tree[gid] = np.where(in_next >= 0, gid[in_next], -1)
     return GoodPair(
         r,
-        Branching(r, "out", frozenset(out_arcs)),
-        Branching(r, "in", frozenset(in_arcs)),
+        Branching.from_pointers(r, "out", out_tree),
+        Branching.from_pointers(r, "in", in_tree),
     )
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice
 from typing import Iterable, Literal
 
 import numpy as np
@@ -18,10 +17,6 @@ import numpy as np
 Arc = tuple[int, int]
 
 BranchingKind = Literal["out", "in"]
-
-# Arcs read at a time by `verify_branching`; bounds its temporaries well
-# below the size of the branching it checks.
-_ARC_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -205,23 +200,63 @@ def is_strong(d: DiGraph) -> bool:
     return _reachable_count(d.in_adj, 0) == d.vertex_count
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Branching:
-    """A rooted spanning out-tree or in-tree, stored as root plus arc set."""
+    """A rooted spanning out-tree or in-tree, stored as root plus arc arrays.
+
+    ``tails`` and ``heads`` are read-only int arrays holding the arcs
+    ``(tails[k], heads[k])`` sorted by (tail, head), without repeats.  They
+    are int64 unless some id does not fit, in which case both hold exact
+    Python ints (dtype object); that is the one place ids beyond int64 are
+    kept exact.  ``arcs`` is the same set as ``(tail, head)`` int pairs,
+    derived on first use.  Branchings compare by identity.
+    """
 
     root: int
     kind: BranchingKind
-    arcs: frozenset[Arc]
+    tails: np.ndarray
+    heads: np.ndarray
 
     def __init__(self, root: int, kind: BranchingKind, arcs: Iterable[Arc] = ()) -> None:
+        pairs = sorted({(int(u), int(v)) for u, v in arcs})
+        try:
+            ids = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        except OverflowError:
+            ids = np.array(pairs, dtype=object).reshape(-1, 2)
+        self._store(root, kind, ids[:, 0], ids[:, 1])
+
+    @classmethod
+    def from_pointers(
+        cls, root: int, kind: BranchingKind, pointer: np.ndarray
+    ) -> Branching:
+        """Branching whose vertex v has the tree arc between v and
+        ``pointer[v]``, its neighbour toward the root (the tail of v's in-arc
+        in an out-tree, the head of v's out-arc in an in-tree); -1 marks a
+        vertex without one, the root among them."""
+        kids = np.flatnonzero(pointer >= 0)
+        others = pointer[kids]
+        b = object.__new__(cls)
+        if kind == "out":
+            order = np.argsort(others, kind="stable")  # kids stay ascending
+            b._store(root, kind, others[order], kids[order])
+        else:
+            b._store(root, kind, kids, others)
+        return b
+
+    def _store(
+        self, root: int, kind: BranchingKind, tails: np.ndarray, heads: np.ndarray
+    ) -> None:
         if kind not in ("out", "in"):
             raise ValueError(f"branching kind must be 'out' or 'in', got {kind!r}")
+        tails.flags.writeable = heads.flags.writeable = False
         object.__setattr__(self, "root", int(root))
         object.__setattr__(self, "kind", kind)
-        # Frozensets are trusted as already canonical (int pairs).
-        if not isinstance(arcs, frozenset):
-            arcs = frozenset((int(u), int(v)) for u, v in arcs)
-        object.__setattr__(self, "arcs", arcs)
+        object.__setattr__(self, "tails", tails)
+        object.__setattr__(self, "heads", heads)
+
+    @cached_property
+    def arcs(self) -> frozenset[Arc]:
+        return frozenset(zip(self.tails.tolist(), self.heads.tolist()))
 
 
 @dataclass(frozen=True)
@@ -242,81 +277,72 @@ def find_out_branching(d: DiGraph, r: int) -> Branching | None:
     reached it.
     """
     d.check_vertex(r, "root")
-    arcs = _bfs_tree_arcs(d.out_adj, r)
-    if len(arcs) != d.vertex_count - 1:
-        return None
-    return Branching(r, "out", arcs)
+    return _bfs_tree(d.out_adj, r, "out")
 
 
 def find_in_branching(d: DiGraph, r: int) -> Branching | None:
     """Spanning in-branching rooted at ``r``; mirror of `find_out_branching`
     run over reversed arcs."""
     d.check_vertex(r, "root")
-    rev_arcs = _bfs_tree_arcs(d.in_adj, r)
-    if len(rev_arcs) != d.vertex_count - 1:
-        return None
-    return Branching(r, "in", ((v, u) for u, v in rev_arcs))
+    return _bfs_tree(d.in_adj, r, "in")
 
 
-def _bfs_tree_arcs(adj: tuple[tuple[int, ...], ...], r: int) -> list[Arc]:
-    seen = bytearray(len(adj))
-    seen[r] = 1
+def _bfs_tree(
+    adj: tuple[tuple[int, ...], ...], r: int, kind: BranchingKind
+) -> Branching | None:
+    """Breadth-first tree from ``r`` over ``adj``, or None if it does not
+    span; each vertex points at the vertex it was first reached from."""
+    pointer = [-1] * len(adj)
+    pointer[r] = r
     queue = deque([r])
-    arcs: list[Arc] = []
+    reached = 1
     while queue:
         u = queue.popleft()
         for w in adj[u]:
-            if not seen[w]:
-                seen[w] = 1
-                arcs.append((u, w))
+            if pointer[w] == -1:
+                pointer[w] = u
+                reached += 1
                 queue.append(w)
-    return arcs
+    if reached != len(adj):
+        return None
+    pointer[r] = -1
+    return Branching.from_pointers(r, kind, np.array(pointer, dtype=np.int64))
 
 
 def verify_branching(d, b: Branching) -> CheckReport:
     """Check the branching invariants of ``b`` against a host graph.
 
     ``d`` only needs ``vertex_count`` and ``has_arcs(tails, heads)``, so a
-    composition's implicit view works as well as a DiGraph.  Arcs are read
-    in chunks, in the arc set's iteration order, and the first bad one is
-    named; then the count, degrees by ``bincount`` and reachability by
-    pointer doubling.  Temporaries stay small next to the branching itself.
+    composition's implicit view works as well as a DiGraph.  The checks run
+    over the branching's arc arrays in order: ids in range and membership in
+    the host, naming the smallest bad arc in (tail, head) order; then the
+    count, degrees by ``bincount`` and reachability by pointer doubling.
     Violations are reported, never raised.
     """
     n = d.vertex_count
     if not (0 <= b.root < n):
         return _fail(f"root {b.root} out of range for {n} vertices")
-    m = len(b.arcs)
-    # Only a spanning branching gets past the arc reads, and then every id
-    # is below n = m + 1, so int64 holds it.
-    spanning = m == n - 1
-    if spanning:
-        tails = np.empty(m, dtype=np.int64)
-        heads = np.empty(m, dtype=np.int64)
-    arcs = iter(b.arcs)
-    for start in range(0, m, _ARC_CHUNK):
-        pairs = list(islice(arcs, _ARC_CHUNK))
-        try:
-            chunk = np.fromiter(chain.from_iterable(pairs), np.int64, 2 * len(pairs))
-        except OverflowError:  # an id beyond int64: compare exact ints instead
-            chunk = np.array(list(chain.from_iterable(pairs)), dtype=object)
-        tail, head = chunk[0::2], chunk[1::2]
-        id_ok = (chunk >= 0) & (chunk < n)
-        in_range = id_ok[0::2] & id_ok[1::2]
+    tails, heads = b.tails, b.heads
+    m = len(tails)
+    in_range = None  # all in range; tails are sorted, so their ends bound them
+    if m and (tails[0] < 0 or tails[-1] >= n or heads.min() < 0 or heads.max() >= n):
+        in_range = (tails >= 0) & (tails < n) & (heads >= 0) & (heads < n)
         found = in_range.copy()
-        found[in_range] = d.has_arcs(tail[in_range], head[in_range])
-        if not found.all():
-            k = int(np.argmin(found))
-            u, v = int(tail[k]), int(head[k])
-            if not in_range[k]:
-                return _fail(f"arc ({u},{v}) out of range")
-            return _fail(f"arc ({u},{v}) is not an arc of the host digraph")
-        if spanning:
-            tails[start : start + len(tail)] = tail
-            heads[start : start + len(head)] = head
-    if not spanning:
+        found[in_range] = d.has_arcs(tails[in_range], heads[in_range])
+    else:
+        found = d.has_arcs(tails, heads)
+    if not found.all():
+        k = int(np.argmin(found))
+        u, v = int(tails[k]), int(heads[k])
+        if in_range is not None and not in_range[k]:
+            return _fail(f"arc ({u},{v}) out of range")
+        return _fail(f"arc ({u},{v}) is not an arc of the host digraph")
+    if m != n - 1:
         return _fail(f"not spanning: {m} arcs for {n} vertices")
 
+    # Every id is below n = m + 1 now, so int64 holds it.
+    tails = tails.astype(np.int64, copy=False)
+    heads = heads.astype(np.int64, copy=False)
     forward = b.kind == "out"
     # Each non-root vertex points to its neighbour towards the root.
     child, toward_root = (heads, tails) if forward else (tails, heads)
@@ -333,7 +359,6 @@ def verify_branching(d, b: Branching) -> CheckReport:
     step = degree
     step[child] = toward_root
     step[b.root] = b.root
-    del tails, heads, child, toward_root  # free them before doubling
     # After k squarings, step[v] is 2^k pointer steps from v (the root stays
     # put); 2^k >= n steps reach the root from every vertex not on a cycle.
     for _ in range(n.bit_length()):
@@ -349,27 +374,39 @@ def verify_branching(d, b: Branching) -> CheckReport:
 
 def verify_good_pair(d, gp: GoodPair) -> CheckReport:
     """Check both branchings, matching roots, and arc-disjointness."""
+    out_b, in_b = gp.out_branching, gp.in_branching
     problems: list[str] = []
-    if gp.out_branching.kind != "out":
+    if out_b.kind != "out":
         problems.append("first branching is not of kind 'out'")
-    if gp.in_branching.kind != "in":
+    if in_b.kind != "in":
         problems.append("second branching is not of kind 'in'")
+    trees_ok = False
     if not problems:
-        rep_out = verify_branching(d, gp.out_branching)
+        rep_out = verify_branching(d, out_b)
         if not rep_out.ok:
             problems.append(f"out-branching invalid: {rep_out.first_problem}")
-        rep_in = verify_branching(d, gp.in_branching)
+        rep_in = verify_branching(d, in_b)
         if not rep_in.ok:
             problems.append(f"in-branching invalid: {rep_in.first_problem}")
-    if gp.root != gp.out_branching.root or gp.root != gp.in_branching.root:
+        trees_ok = rep_out.ok and rep_in.ok
+    if gp.root != out_b.root or gp.root != in_b.root:
         problems.append(
             f"root mismatch: pair root {gp.root}, branching roots "
-            f"{gp.out_branching.root} and {gp.in_branching.root}"
+            f"{out_b.root} and {in_b.root}"
         )
-    shared = gp.out_branching.arcs & gp.in_branching.arcs
-    if shared:
-        u, v = min(shared)
-        problems.append(f"branchings share arc ({u},{v})")
+    if trees_ok:
+        # Both trees span d, so their ids fit int64 and the in-tree gives
+        # each vertex one successor: the out-arc (u, v) is shared iff
+        # in_next[u] == v.  Out-arcs are sorted, so the first is the smallest.
+        in_next = np.full(d.vertex_count, -1, dtype=np.int64)
+        in_next[in_b.tails] = in_b.heads
+        shared = np.flatnonzero(in_next[out_b.tails] == out_b.heads)
+        k = shared[0] if len(shared) else None
+        first = None if k is None else (int(out_b.tails[k]), int(out_b.heads[k]))
+    else:
+        first = min(out_b.arcs & in_b.arcs, default=None)
+    if first is not None:
+        problems.append(f"branchings share arc ({first[0]},{first[1]})")
     if problems:
         return _fail(*problems)
     return _ok()

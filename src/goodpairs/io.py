@@ -16,6 +16,8 @@ from __future__ import annotations
 import json
 from typing import Any
 
+import numpy as np
+
 from .composition import CompositionSpec
 from .digraph import Arc, Branching, DiGraph, GoodPair
 from .ears import EarDecomposition
@@ -81,11 +83,19 @@ def _parse_arc_list(
     return arcs
 
 
-def _digraph_from_doc(doc: dict[str, Any], what: str) -> DiGraph:
+def _digraph_from_doc(
+    doc: dict[str, Any], what: str, arcless: dict[int, DiGraph] | None = None
+) -> DiGraph:
+    """The digraph of ``doc``.  With ``arcless``, an arcless digraph is taken
+    from that cache of immutable ones by vertex count, and added if absent."""
     _expect_keys(doc, {"n", "arcs"}, what)
     n = doc["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise FormatError(f"{what}.n: expected a non-negative integer")
+    if arcless is not None and doc["arcs"] == []:
+        if n not in arcless:
+            arcless[n] = DiGraph(n)
+        return arcless[n]
     arcs = _parse_arc_list(doc["arcs"], n, f"{what}.arcs")
     return DiGraph(n, arcs)
 
@@ -118,10 +128,11 @@ def parse_composition(text: str) -> CompositionSpec:
             f"got {len(doc['H'])}"
         )
     blobs = []
+    arcless: dict[int, DiGraph] = {}
     for i, sub in enumerate(doc["H"]):
         if not isinstance(sub, dict):
             raise FormatError(f"composition.H[{i}]: expected a digraph object")
-        blob = _digraph_from_doc(sub, f"composition.H[{i}]")
+        blob = _digraph_from_doc(sub, f"composition.H[{i}]", arcless)
         if blob.vertex_count < 1:
             raise FormatError(f"composition.H[{i}].n: a blob needs at least 1 vertex")
         blobs.append(blob)
@@ -149,11 +160,16 @@ def parse_good_pair(text: str) -> GoodPair:
     )
 
 
+def branching_arc_list(b: Branching) -> list[list[int]]:
+    """The arcs of ``b`` as ``[tail, head]`` lists, in its sorted order."""
+    return np.column_stack((b.tails, b.heads)).tolist()
+
+
 def good_pair_doc(gp: GoodPair) -> dict[str, Any]:
     return {
         "root": gp.root,
-        "out_arcs": [list(a) for a in sorted(gp.out_branching.arcs)],
-        "in_arcs": [list(a) for a in sorted(gp.in_branching.arcs)],
+        "out_arcs": branching_arc_list(gp.out_branching),
+        "in_arcs": branching_arc_list(gp.in_branching),
     }
 
 
@@ -186,9 +202,9 @@ def export_dot(
     colored: set[Arc] = set()
     if pair is not None:
         lines.append(f"  {pair.root} [shape=doublecircle];")
-        for u, v in sorted(pair.out_branching.arcs):
+        for u, v in branching_arc_list(pair.out_branching):
             lines.append(f"  {u} -> {v} [{OUT_ARC_ATTR}];")
-        for u, v in sorted(pair.in_branching.arcs):
+        for u, v in branching_arc_list(pair.in_branching):
             lines.append(f"  {u} -> {v} [{IN_ARC_ATTR}];")
         colored = pair.out_branching.arcs | pair.in_branching.arcs
     if host is not None:

@@ -9,6 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Literal
 
+import numpy as np
+
 from .digraph import (
     Branching,
     DiGraph,
@@ -71,7 +73,7 @@ def enumerate_out_branchings(
     while stack:
         pos, idx = stack.pop()
         if pos == len(vertices):
-            yield Branching(r, "out", ((parent[v], v) for v in vertices))
+            yield Branching.from_pointers(r, "out", np.array(parent, dtype=np.int64))
             emitted += 1
             if limit is not None and emitted >= limit:
                 return

@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .composition import (
     BlobVertex,
     CompositionSpec,
@@ -72,17 +74,6 @@ def closed_neighborhood_restriction(q: DiGraph, r: int) -> NeighborhoodRestricti
     )
 
 
-def _relabel_pair(gp: GoodPair, mapping: dict[int, int]) -> GoodPair:
-    def relabel(b: Branching) -> Branching:
-        return Branching(
-            mapping[b.root], b.kind, ((mapping[u], mapping[v]) for u, v in b.arcs)
-        )
-
-    return GoodPair(
-        mapping[gp.root], relabel(gp.out_branching), relabel(gp.in_branching)
-    )
-
-
 def lift_good_pair(
     q: DiGraph, nr: NeighborhoodRestriction, restricted_pair: GoodPair
 ) -> GoodPair:
@@ -98,14 +89,19 @@ def lift_good_pair(
     so the result stays arc-disjoint by construction.
     """
     require_good_pair(nr.restricted, restricted_pair, "restricted pair")
-    to_original = dict(enumerate(nr.kept))
-    pair = _relabel_pair(restricted_pair, to_original)
-    r = pair.root
-    root_feeders = sorted(u for u, v in pair.in_branching.arcs if v == r)
-    root_fed = sorted(v for u, v in pair.out_branching.arcs if u == r)
+    # Restricted ids map to original ids in ascending order, and the arc
+    # arrays are sorted, so the root's feeders and fed vertices come out sorted.
+    kept = np.array(nr.kept, dtype=np.int64)
+    out_b, in_b = restricted_pair.out_branching, restricted_pair.in_branching
+    root = restricted_pair.root
+    r = nr.kept[root]
+    root_feeders = kept[in_b.tails[in_b.heads == root]].tolist()
+    root_fed = kept[out_b.heads[out_b.tails == root]].tolist()
     others = [v for v in nr.kept if v != r]
-    out_arcs = set(pair.out_branching.arcs)
-    in_arcs = set(pair.in_branching.arcs)
+    out_parent = np.full(q.vertex_count, -1, dtype=np.int64)
+    out_parent[kept[out_b.heads]] = kept[out_b.tails]
+    in_next = np.full(q.vertex_count, -1, dtype=np.int64)
+    in_next[kept[in_b.tails]] = kept[in_b.heads]
     for u in sorted(nr.removed):
         x = _first_with_arc(q, root_feeders, others, tail=None, head=u)
         if x is None:
@@ -119,9 +115,13 @@ def lift_good_pair(
                 f"removed vertex {u} has no arc back to a kept vertex; "
                 "is the host digraph strong?"
             )
-        out_arcs.add((x, u))
-        in_arcs.add((u, y))
-    return GoodPair(r, Branching(r, "out", out_arcs), Branching(r, "in", in_arcs))
+        out_parent[u] = x
+        in_next[u] = y
+    return GoodPair(
+        r,
+        Branching.from_pointers(r, "out", out_parent),
+        Branching.from_pointers(r, "in", in_next),
+    )
 
 
 def _first_with_arc(
@@ -175,36 +175,32 @@ def shrink_good_pair(
     root = nr.root_in_restricted
     if r != nr.kept[root]:
         raise ValueError(f"pair root {r} is not the restriction's root {nr.kept[root]}")
-    to_restricted = {v: i for i, v in enumerate(nr.kept)}
-    in_next = {u: v for u, v in gp.in_branching.arcs}
-    out_parent = {v: u for u, v in gp.out_branching.arcs}
-    trees = []
-    for kind, pointers, has_root_arc, side in (
-        ("in", in_next, lambda v: q.has_arc(v, r), "to"),
-        ("out", out_parent, lambda v: q.has_arc(r, v), "from"),
-    ):
-        pruned = []  # (vertex, its pointer) in restricted ids
-        for v in nr.kept:
-            if v == r:
-                continue
-            w = pointers[v]
-            if w in nr.removed:
-                if not has_root_arc(v):
-                    return ShrinkResult(
-                        None,
-                        stuck_vertex=w,
-                        message=f"{kind}-branching: vertex {v} under removed "
-                        f"vertex {w} has no arc {side} the root",
-                    )
-                w = r
-            pruned.append((to_restricted[v], to_restricted[w]))
-        trees.append(pruned)
-    in_pointers, out_pointers = trees
-    pair = GoodPair(
-        root,
-        Branching(root, "out", ((p, v) for v, p in out_pointers)),
-        Branching(root, "in", in_pointers),
-    )
+    kept = np.array(nr.kept, dtype=np.int64)
+    to_restricted = np.full(q.vertex_count, -1, dtype=np.int64)
+    to_restricted[kept] = np.arange(len(kept))
+    others = kept[kept != r]
+    trees = {}
+    for kind, b, side in (("in", gp.in_branching, "to"), ("out", gp.out_branching, "from")):
+        child, toward_root = (b.tails, b.heads) if kind == "in" else (b.heads, b.tails)
+        pointer = np.empty(q.vertex_count, dtype=np.int64)
+        pointer[child] = toward_root  # every vertex but r has its entry
+        w = pointer[others]
+        cut = np.flatnonzero(to_restricted[w] < 0)  # pointers at removed vertices
+        v, ends = others[cut], np.full(len(cut), r)
+        rewirable = q.has_arcs(v, ends) if kind == "in" else q.has_arcs(ends, v)
+        if not rewirable.all():
+            k = cut[np.argmin(rewirable)]
+            return ShrinkResult(
+                None,
+                stuck_vertex=int(w[k]),
+                message=f"{kind}-branching: vertex {others[k]} under removed "
+                f"vertex {w[k]} has no arc {side} the root",
+            )
+        w[cut] = r
+        pruned = np.full(len(kept), -1, dtype=np.int64)
+        pruned[to_restricted[others]] = to_restricted[w]
+        trees[kind] = Branching.from_pointers(root, kind, pruned)
+    pair = GoodPair(root, trees["out"], trees["in"])
     final = verify_good_pair(nr.restricted, pair)
     if not final.ok:
         return ShrinkResult(

@@ -67,11 +67,11 @@ def reference_branching_problems(d: DiGraph, b) -> tuple[str, ...]:
     """The problems `goodpairs.verify_branching` should report for ``b`` on
     the flat host ``d``, found by a per-arc loop: at most one, the first
     violation in the order range, membership, count, degree, reachability,
-    reading the arcs in the arc set's iteration order."""
+    reading the arcs in ascending (tail, head) order."""
     n = d.vertex_count
     if not (0 <= b.root < n):
         return (f"root {b.root} out of range for {n} vertices",)
-    for u, v in b.arcs:
+    for u, v in sorted(b.arcs):
         if not (0 <= u < n and 0 <= v < n):
             return (f"arc ({u},{v}) out of range",)
         if (u, v) not in d.arcs:

@@ -7,6 +7,7 @@ force, never from the code paths under test.
 
 from __future__ import annotations
 
+import hashlib
 import time
 import tracemalloc
 from functools import lru_cache
@@ -32,6 +33,7 @@ from goodpairs import (
     verify_ear_decomposition,
     verify_good_pair,
 )
+from goodpairs.io import serialize_good_pair
 
 from bruteforce import (
     labeled_tournaments,
@@ -51,14 +53,23 @@ def every_root(spec: CompositionSpec):
             yield BlobVertex(blob, layer)
 
 
+def _c1_specs():
+    for seed in range(500):
+        t = 2 + seed % 7
+        p = 0.3 if seed % 2 else 0.0
+        yield seed, gen_composition(t, (2, 4), p, "strong", seed=seed)
+
+
+def _text_digest(lines) -> str:
+    """sha256 of the lines joined by newlines, with a trailing newline."""
+    return hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
+
+
 def test_c1_construction_correctness_on_500_specs():
     started = time.perf_counter()
     failures = []
     roots_checked = 0
-    for seed in range(500):
-        t = 2 + seed % 7
-        p = 0.3 if seed % 2 else 0.0
-        spec = gen_composition(t, (2, 4), p, "strong", seed=seed)
+    for seed, spec in _c1_specs():
         view = spec.implicit_view()
         for root in every_root(spec):
             pair = construct_good_pair(spec, root)
@@ -70,6 +81,18 @@ def test_c1_construction_correctness_on_500_specs():
         "C1 theorem-3 construction",
         not failures and elapsed < 60.0,
         f"500 specs, {roots_checked} roots, {len(failures)} failures, {elapsed:.1f}s",
+    )
+
+
+def test_c1_pair_text_is_pinned():
+    """The pair text of every root of C1's specs, byte for byte."""
+    lines = (
+        serialize_good_pair(construct_good_pair(spec, root))
+        for _, spec in _c1_specs()
+        for root in every_root(spec)
+    )
+    assert _text_digest(lines) == (
+        "7a4b011fd4efe75bd8df10f5970793acaf8450f24cd7def3787a4b32327ec7b5"
     )
 
 
@@ -164,6 +187,19 @@ def test_c4_restriction_equivalence_on_300_instances():
         not disagreements and elapsed < 120.0,
         f"300 instances, {roots_checked} roots, {len(disagreements)} disagreements, "
         f"{elapsed:.1f}s",
+    )
+
+
+def test_c4_decision_text_is_pinned():
+    """decide_semicomplete's answer at every root of C4's instances, byte for
+    byte: the pair text when found, the status and reason otherwise."""
+    lines = []
+    for _, spec in _semicomplete_instances():
+        for r in range(spec.total_vertices):
+            d = decide_semicomplete(spec, spec.blob_vertex(r))
+            lines.append(serialize_good_pair(d.pair) if d.found else f"{d.status} {d.reason}")
+    assert _text_digest(lines) == (
+        "801deceebb24a849f934a312211437975daa7739b68d5d7bfdb884d5ce686a30"
     )
 
 

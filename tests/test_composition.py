@@ -24,8 +24,6 @@ from goodpairs import (
     verify_good_pair,
 )
 
-from goodpairs.digraph import _ARC_CHUNK
-
 from bruteforce import reference_branching_problems
 from strategies import digraphs
 
@@ -274,7 +272,7 @@ def _mutations(spec: CompositionSpec, q: DiGraph, gp: GoodPair):
         yield "in-tree cycle", GoodPair(r, out_b, Branching(r, "in", in_arcs))
     for bad in (n, -1, 2**70):
         yield "out of range", _out_replaced(gp, first, (first[0], bad))
-    # Several bad arcs: both hosts must name the first in iteration order.
+    # Several bad arcs: both hosts must name the smallest in (tail, head) order.
     u, v = max(out_b.arcs)
     arcs = (out_b.arcs - {first, (u, v)}) | {(first[0], n), (v, u + n)}
     yield "two bad arcs", GoodPair(r, Branching(r, "out", arcs), in_b)
@@ -324,19 +322,20 @@ def test_implicit_view_and_materialized_host_agree_on_broken_pairs():
     assert min(seen.values()) >= 5, seen
 
 
-def test_verifiers_agree_beyond_the_first_arc_chunk():
+def test_verifiers_agree_deep_in_the_arc_arrays():
+    """Arcs broken far into a 6000-vertex out-tree's sorted arrays are named
+    alike by the implicit view, the flat host and the per-arc reference."""
     t = 3000
     spec = CompositionSpec(gen_strong_digraph(t, t, seed=5), [DiGraph(2)] * t)
     q = materialize(spec)
-    view = spec.implicit_view()
     gp = construct_good_pair(spec, BlobVertex(1, 1))
     out_b = gp.out_branching
-    late = 0
-    for u, v in sorted(out_b.arcs)[::500]:
+    for u, v in sorted(out_b.arcs)[4096::400]:
         for bad in ((u, u ^ 1), (u, 2 * t)):  # inside u's empty blob; out of range
-            arcs = (out_b.arcs - {(u, v)}) | {bad}
-            broken = GoodPair(gp.root, Branching(gp.root, "out", arcs), gp.in_branching)
-            assert not verify_good_pair(view, broken).ok
+            b = Branching(gp.root, "out", (out_b.arcs - {(u, v)}) | {bad})
+            at = np.flatnonzero((b.tails == bad[0]) & (b.heads == bad[1]))
+            assert at[0] >= 4096
+            broken = GoodPair(gp.root, b, gp.in_branching)
+            problem = verify_good_pair(spec.implicit_view(), broken).first_problem
+            assert problem.startswith(f"out-branching invalid: arc ({bad[0]},{bad[1]})")
             _assert_hosts_agree(spec, q, broken, str(bad))
-            late += list(arcs).index(bad) >= _ARC_CHUNK
-    assert late

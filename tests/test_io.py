@@ -90,6 +90,17 @@ class TestCompositionFormat:
         parsed = parse_composition(serialize_composition(spec))
         assert parsed.outer == spec.outer and parsed.blobs == spec.blobs
 
+    def test_arcless_blobs_shared_per_size(self):
+        c4 = DiGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        arc = DiGraph(2, [(0, 1)])
+        spec = CompositionSpec(c4, [DiGraph(2), arc, DiGraph(2), DiGraph(2, [(0, 1)])])
+        text = serialize_composition(spec)
+        parsed = parse_composition(text)
+        assert serialize_composition(parsed) == text
+        empty_a, arc_a, empty_b, arc_b = parsed.blobs
+        assert empty_a is empty_b and empty_a == DiGraph(2)
+        assert arc_a is not arc_b and arc_a == arc_b == arc
+
     def test_blob_count_mismatch(self):
         text = '{"T":{"n":3,"arcs":[[0,1],[1,2],[2,0]]},"H":[{"n":1,"arcs":[]},{"n":1,"arcs":[]}]}'
         with pytest.raises(FormatError, match="expected 3 blob"):
