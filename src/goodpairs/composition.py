@@ -107,28 +107,24 @@ class CompositionSpec:
 
     @cached_property
     def _outer_keys(self) -> np.ndarray:
-        """Sorted ``i * t + p`` over the outer arcs (i, p)."""
-        t = self.blob_count
-        arcs = self.outer.arcs
-        keys = np.fromiter((i * t + p for i, p in arcs), np.int64, len(arcs))
-        keys.sort()
-        return keys
+        """Sorted ``i * t + p`` over the outer arcs (i, p): the arcs are
+        sorted by (i, p) and p < t, so the keys come out sorted."""
+        return self.outer.tails * self.blob_count + self.outer.heads
 
     @cached_property
     def _blob_keys(self) -> np.ndarray:
         """Sorted ``u * N + v`` over the blob-internal arcs (u, v), in global
-        ids, N being the composition order."""
+        ids, N being the composition order; blob by blob they come out
+        sorted."""
         n = self.total_vertices
-        keys = np.fromiter(
+        return np.fromiter(
             (
                 (base + u) * n + base + v
                 for base, h in zip(self.offsets, self.blobs)
-                for u, v in h.arcs
+                for u, v in h.arcs_in_order()
             ),
             np.int64,
         )
-        keys.sort()
-        return keys
 
     def has_arcs(self, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
         """Implicit arc query on global ids: a mask over the pairs
@@ -224,12 +220,15 @@ def materialize(
 
 
 def is_semicomplete(d: DiGraph) -> bool:
-    """True iff every pair of distinct vertices is adjacent in some direction."""
-    for x in range(d.vertex_count):
-        for y in range(x + 1, d.vertex_count):
-            if (x, y) not in d.arcs and (y, x) not in d.arcs:
-                return False
-    return True
+    """True iff every pair of distinct vertices is adjacent in some direction:
+    the arcs, taken as unordered pairs, give all n(n-1)/2 of them."""
+    n = d.vertex_count
+    pairs = n * (n - 1) // 2
+    if len(d.tails) < pairs:
+        return False
+    keys = np.sort(np.minimum(d.tails, d.heads) * n + np.maximum(d.tails, d.heads))
+    distinct = np.count_nonzero(keys[1:] != keys[:-1]) + (len(keys) > 0)
+    return distinct == pairs
 
 
 def validate_for_construction(spec: CompositionSpec) -> CheckReport:

@@ -167,9 +167,14 @@ def construct_good_pair(spec: CompositionSpec, root: BlobVertex) -> GoodPair:
     on ``spec.implicit_view()`` before it is returned; a pair that fails
     raises ValueError naming the first problem.
     """
-    report = validate_for_construction(spec)
-    if not report.ok:
-        raise ValueError("; ".join(report.problems))
-    spec.check_blob_vertex(root)
-    pair = extend_layers(skeleton_good_pair(spec.outer, root.blob), spec, root)
+    try:
+        spec.check_blob_vertex(root)
+        pair = extend_layers(skeleton_good_pair(spec.outer, root.blob), spec, root)
+    except ValueError:
+        # The ear walk raises on an outer that is not strong, so the
+        # preconditions are only gathered, all of them named, on failure.
+        report = validate_for_construction(spec)
+        if not report.ok:
+            raise ValueError("; ".join(report.problems)) from None
+        raise
     return require_good_pair(spec.implicit_view(), pair, "constructed pair")

@@ -10,7 +10,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Literal
+from itertools import chain
+from typing import Collection, Iterable, Literal
 
 import numpy as np
 
@@ -42,12 +43,31 @@ def _fail(*problems: str) -> CheckReport:
     return CheckReport(False, tuple(problems))
 
 
-@dataclass(frozen=True)
+def _sorted_arc_arrays(arcs: Collection[Arc]) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct int pairs ``arcs`` as ``(tails, heads)`` arrays sorted by
+    (tail, head): int64, or dtype object (exact) when some id does not fit."""
+    try:
+        ids = np.fromiter(chain.from_iterable(arcs), np.int64, 2 * len(arcs))
+    except OverflowError:
+        ids = np.array(list(chain.from_iterable(arcs)), dtype=object)
+    tails, heads = ids.reshape(-1, 2).T
+    order = np.lexsort((heads, tails))
+    return tails[order], heads[order]
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class DiGraph:
-    """A simple directed graph on vertices ``0 .. vertex_count - 1``."""
+    """A simple directed graph on vertices ``0 .. vertex_count - 1``.
+
+    The arcs are held two ways, each derived from the other on first use:
+    ``arcs``, a frozenset of ``(tail, head)`` int pairs, and ``tails`` and
+    ``heads``, read-only int arrays sorted by (tail, head), int64 unless some
+    id does not fit (then dtype object, exact).  ``DiGraph(n, arcs)`` starts
+    from the set; `from_sorted_arrays` starts from the arrays, which is how
+    the parsers build digraphs.  Digraphs compare by vertex count and arcs.
+    """
 
     vertex_count: int
-    arcs: frozenset[Arc]
 
     def __init__(self, vertex_count: int, arcs: Iterable[Arc] = ()) -> None:
         if vertex_count < 0:
@@ -63,21 +83,72 @@ class DiGraph:
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "arcs", arc_set)
 
+    @classmethod
+    def from_sorted_arrays(
+        cls, vertex_count: int, tails: np.ndarray, heads: np.ndarray
+    ) -> DiGraph:
+        """Digraph with the arcs ``(tails[k], heads[k])``, taken as given:
+        sorted by (tail, head), without repeats or loops, and in range, as
+        the parsers leave them."""
+        d = object.__new__(cls)
+        tails.flags.writeable = heads.flags.writeable = False
+        object.__setattr__(d, "vertex_count", vertex_count)
+        object.__setattr__(d, "_arc_arrays", (tails, heads))
+        return d
+
+    @cached_property
+    def arcs(self) -> frozenset[Arc]:
+        return frozenset(zip(self.tails.tolist(), self.heads.tolist()))
+
+    @cached_property
+    def _arc_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        tails, heads = _sorted_arc_arrays(self.arcs)
+        tails.flags.writeable = heads.flags.writeable = False
+        return tails, heads
+
+    @property
+    def tails(self) -> np.ndarray:
+        return self._arc_arrays[0]
+
+    @property
+    def heads(self) -> np.ndarray:
+        return self._arc_arrays[1]
+
+    def arcs_in_order(self) -> Iterable[Arc]:
+        """The arcs as ``(tail, head)`` int pairs in ascending order, read
+        from whichever of the arrays and the set is built already."""
+        if "_arc_arrays" in self.__dict__:
+            return zip(self.tails.tolist(), self.heads.tolist())
+        return sorted(self.arcs)
+
     @cached_property
     def out_adj(self) -> tuple[tuple[int, ...], ...]:
         """Out-neighbour lists, each sorted ascending."""
         adj: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for u, v in self.arcs:
+        for u, v in self.arcs_in_order():
             adj[u].append(v)
-        return tuple(tuple(sorted(nbrs)) for nbrs in adj)
+        return tuple(map(tuple, adj))
 
     @cached_property
     def in_adj(self) -> tuple[tuple[int, ...], ...]:
-        """In-neighbour lists, each sorted ascending."""
+        """In-neighbour lists, each sorted ascending: `out_adj` read in
+        order of tail."""
         adj: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for u, v in self.arcs:
-            adj[v].append(u)
-        return tuple(tuple(sorted(nbrs)) for nbrs in adj)
+        for u, nbrs in enumerate(self.out_adj):
+            for v in nbrs:
+                adj[v].append(u)
+        return tuple(map(tuple, adj))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DiGraph):
+            return NotImplemented
+        return self.vertex_count == other.vertex_count and self.arcs == other.arcs
+
+    def __hash__(self) -> int:
+        return hash((self.vertex_count, self.arcs))
+
+    def __repr__(self) -> str:
+        return f"DiGraph({self.vertex_count}, {sorted(self.arcs)})"
 
     def has_arc(self, u: int, v: int) -> bool:
         return (u, v) in self.arcs
@@ -218,12 +289,18 @@ class Branching:
     heads: np.ndarray
 
     def __init__(self, root: int, kind: BranchingKind, arcs: Iterable[Arc] = ()) -> None:
-        pairs = sorted({(int(u), int(v)) for u, v in arcs})
-        try:
-            ids = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-        except OverflowError:
-            ids = np.array(pairs, dtype=object).reshape(-1, 2)
-        self._store(root, kind, ids[:, 0], ids[:, 1])
+        pairs = {(int(u), int(v)) for u, v in arcs}
+        self._store(root, kind, *_sorted_arc_arrays(pairs))
+
+    @classmethod
+    def from_sorted_arrays(
+        cls, root: int, kind: BranchingKind, tails: np.ndarray, heads: np.ndarray
+    ) -> Branching:
+        """Branching with the arcs ``(tails[k], heads[k])``, taken as given:
+        sorted by (tail, head), without repeats."""
+        b = object.__new__(cls)
+        b._store(root, kind, tails, heads)
+        return b
 
     @classmethod
     def from_pointers(
@@ -235,13 +312,10 @@ class Branching:
         vertex without one, the root among them."""
         kids = np.flatnonzero(pointer >= 0)
         others = pointer[kids]
-        b = object.__new__(cls)
         if kind == "out":
             order = np.argsort(others, kind="stable")  # kids stay ascending
-            b._store(root, kind, others[order], kids[order])
-        else:
-            b._store(root, kind, kids, others)
-        return b
+            return cls.from_sorted_arrays(root, kind, others[order], kids[order])
+        return cls.from_sorted_arrays(root, kind, kids, others)
 
     def _store(
         self, root: int, kind: BranchingKind, tails: np.ndarray, heads: np.ndarray
@@ -254,9 +328,13 @@ class Branching:
         object.__setattr__(self, "tails", tails)
         object.__setattr__(self, "heads", heads)
 
+    def arcs_in_order(self) -> Iterable[Arc]:
+        """The arcs as ``(tail, head)`` int pairs in their sorted order."""
+        return zip(self.tails.tolist(), self.heads.tolist())
+
     @cached_property
     def arcs(self) -> frozenset[Arc]:
-        return frozenset(zip(self.tails.tolist(), self.heads.tolist()))
+        return frozenset(self.arcs_in_order())
 
 
 @dataclass(frozen=True)

@@ -117,18 +117,18 @@ def ear_walks(d: DiGraph, start: Ear) -> Iterator[list[int]]:
     n = d.vertex_count
     if start.kind != "initial_cycle" or not start.is_cycle:
         raise ValueError("starting ear must be an initial cycle")
+    out_adj = d.out_adj
     seen: set[Arc] = set()
-    for a in start.arcs:
-        if a not in d.arcs:
-            raise ValueError(f"starting cycle uses ({a[0]},{a[1]}), not an arc of d")
-        if a in seen:
+    for u, v in start.arcs:
+        if not (0 <= u < n and v in out_adj[u]):
+            raise ValueError(f"starting cycle uses ({u},{v}), not an arc of d")
+        if (u, v) in seen:
             raise ValueError("starting cycle repeats an arc")
-        seen.add(a)
+        seen.add((u, v))
     cycle_vertices = set(start.vertices)
     if len(cycle_vertices) != len(start.vertices) - 1:
         raise ValueError("starting cycle revisits a vertex")
 
-    out_adj = d.out_adj
     built = bytearray(n)
     # One entry (x, y, i) per built x with arcs left: y = out_adj[x][i] is
     # x's smallest arc not yet taken, so pops come in ascending arc order.

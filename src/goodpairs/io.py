@@ -7,14 +7,21 @@ Every document is a single line of JSON:
   good pair     {"root": 0, "out_arcs": [[0,1]], "in_arcs": [[1,0]]}
 
 Arc lists are serialized sorted ascending, so parse(serialize(x)) == x and
-documents diff cleanly.  Parsers reject loops, duplicate arcs, out-of-range
-ids and malformed syntax, naming the offending field.
+documents diff cleanly; the text is what ``json.dumps`` writes, built by one
+join over the arcs.  Parsers reject loops, duplicate arcs, out-of-range ids
+and malformed syntax, naming the offending field.  An arc list becomes int
+arrays sorted by (tail, head) once, at this boundary: C-level scans screen
+its items, and the loop, range and duplicate checks run as masks over the
+arrays.  The error names the first failing arc, ``field[i]``, with the first
+check it fails in the order pair of integers, loop, range, duplicate.  Ids
+beyond int64 are kept exact, in arrays of dtype object.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any
+from itertools import chain, compress, repeat
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -57,59 +64,105 @@ def _expect_keys(doc: dict[str, Any], keys: set[str], what: str) -> None:
 
 
 def _parse_arc_list(
-    raw: Any, n: int | None, field: str, forbid_loops: bool = True
-) -> list[Arc]:
+    raw: Any, n: int | None, field: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """The arcs of ``raw`` as `_checked_arcs` returns them; the first bad one
+    raises, named as ``field[i]``."""
     if not isinstance(raw, list):
         raise FormatError(f"{field}: expected a list of arcs")
-    arcs: list[Arc] = []
-    seen: set[Arc] = set()
-    for i, item in enumerate(raw):
-        where = f"{field}[{i}]"
-        if (
-            not isinstance(item, list)
-            or len(item) != 2
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in item)
-        ):
-            raise FormatError(f"{where}: an arc must be a pair of integers")
-        u, v = item
-        if forbid_loops and u == v:
-            raise FormatError(f"{where}: loop ({u},{v}) not allowed")
-        if n is not None and not (0 <= u < n and 0 <= v < n):
-            raise FormatError(f"{where}: arc ({u},{v}) out of range for n={n}")
-        if (u, v) in seen:
-            raise FormatError(f"{where}: duplicate arc ({u},{v})")
-        seen.add((u, v))
-        arcs.append((u, v))
-    return arcs
+    tails, heads, first = _checked_arcs(raw, n, np.zeros(len(raw), dtype=np.int64))
+    if first < len(raw):
+        raise FormatError(f"{field}[{first}]: {_arc_problem(raw[first], n)}")
+    return tails, heads
 
 
-def _digraph_from_doc(
-    doc: dict[str, Any], what: str, arcless: dict[int, DiGraph] | None = None
-) -> DiGraph:
-    """The digraph of ``doc``.  With ``arcless``, an arcless digraph is taken
-    from that cache of immutable ones by vertex count, and added if absent."""
+def _checked_arcs(
+    raw: list[Any], n: Any, group: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Check the items of ``raw`` as arcs, over whole arrays.
+
+    ``group``, non-decreasing with one entry per item, splits ``raw`` into
+    arc lists that are checked apart; ``n`` bounds their ids: None for no
+    bound, an int, or an array with one bound per item.  Returns the arcs as
+    ``(tails, heads)`` arrays sorted by (group, tail, head), int64 unless
+    some id does not fit (then dtype object, exact), and the index of the
+    first item that fails a check, or ``len(raw)`` when none does.  At that
+    item the first failing check, in the order pair of integers, loop,
+    range, duplicate (an earlier equal arc in its list), is what is wrong.
+    """
+    # The longest prefix of pairs of ints, screened at C level.
+    m = len(raw)
+    if not (
+        set(map(type, raw)) <= {list}
+        and set(map(len, raw)) <= {2}
+        and set(map(type, chain.from_iterable(raw))) <= {int}
+    ):
+        m = next(i for i, item in enumerate(raw) if not _is_int_pair(item))
+        raw, group = raw[:m], group[:m]
+        if isinstance(n, np.ndarray):
+            n = n[:m]
+    try:
+        ids = np.fromiter(chain.from_iterable(raw), np.int64, 2 * m)
+    except OverflowError:
+        ids = np.array(list(chain.from_iterable(raw)), dtype=object)
+    tails, heads = ids.reshape(-1, 2).T
+    bad = tails == heads
+    if n is not None:
+        bad |= (tails < 0) | (tails >= n) | (heads < 0) | (heads >= n)
+    rising = (group[1:] > group[:-1]) | (tails[1:] > tails[:-1])
+    rising |= (tails[1:] == tails[:-1]) & (heads[1:] > heads[:-1])
+    if not rising.all():
+        # A stable sort keeps repeats in input order, so every occurrence of
+        # an arc after its first is the one that follows an equal arc.
+        order = np.lexsort((heads, tails, group))
+        tails, heads, group = tails[order], heads[order], group[order]
+        again = (group[1:] == group[:-1]) & (tails[1:] == tails[:-1])
+        again &= heads[1:] == heads[:-1]
+        bad[order[1:][again]] = True
+    if bad.any():
+        m = int(np.argmax(bad))
+    return np.ascontiguousarray(tails), np.ascontiguousarray(heads), m
+
+
+def _is_int_pair(item: Any) -> bool:
+    return (
+        isinstance(item, list)
+        and len(item) == 2
+        and all(isinstance(x, int) and not isinstance(x, bool) for x in item)
+    )
+
+
+def _arc_problem(item: Any, n: int | None) -> str:
+    """What is wrong with ``item``, the first bad arc of its list."""
+    if not _is_int_pair(item):
+        return "an arc must be a pair of integers"
+    u, v = item
+    if u == v:
+        return f"loop ({u},{v}) not allowed"
+    if n is not None and not (0 <= u < n and 0 <= v < n):
+        return f"arc ({u},{v}) out of range for n={n}"
+    return f"duplicate arc ({u},{v})"
+
+
+def _digraph_from_doc(doc: dict[str, Any], what: str) -> DiGraph:
     _expect_keys(doc, {"n", "arcs"}, what)
     n = doc["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise FormatError(f"{what}.n: expected a non-negative integer")
-    if arcless is not None and doc["arcs"] == []:
-        if n not in arcless:
-            arcless[n] = DiGraph(n)
-        return arcless[n]
-    arcs = _parse_arc_list(doc["arcs"], n, f"{what}.arcs")
-    return DiGraph(n, arcs)
+    return DiGraph.from_sorted_arrays(n, *_parse_arc_list(doc["arcs"], n, f"{what}.arcs"))
 
 
 def parse_digraph(text: str) -> DiGraph:
     return _digraph_from_doc(_json_object(text, "digraph"), "digraph")
 
 
-def _digraph_doc(d: DiGraph) -> dict[str, Any]:
-    return {"n": d.vertex_count, "arcs": [list(a) for a in sorted(d.arcs)]}
+def _arc_list_text(arcs: Iterable[Arc]) -> str:
+    """The arcs as ``json.dumps`` writes a list of ``[tail, head]`` lists."""
+    return "[" + ", ".join([f"[{u}, {v}]" for u, v in arcs]) + "]"
 
 
 def serialize_digraph(d: DiGraph) -> str:
-    return json.dumps(_digraph_doc(d))
+    return f'{{"n": {d.vertex_count}, "arcs": {_arc_list_text(d.arcs_in_order())}}}'
 
 
 def parse_composition(text: str) -> CompositionSpec:
@@ -127,22 +180,66 @@ def parse_composition(text: str) -> CompositionSpec:
             f"composition.H: expected {outer.vertex_count} blob digraphs, "
             f"got {len(doc['H'])}"
         )
-    blobs = []
-    arcless: dict[int, DiGraph] = {}
-    for i, sub in enumerate(doc["H"]):
-        if not isinstance(sub, dict):
-            raise FormatError(f"composition.H[{i}]: expected a digraph object")
-        blob = _digraph_from_doc(sub, f"composition.H[{i}]", arcless)
-        if blob.vertex_count < 1:
-            raise FormatError(f"composition.H[{i}].n: a blob needs at least 1 vertex")
-        blobs.append(blob)
-    return CompositionSpec(outer, blobs)
+    return CompositionSpec(outer, _blobs_from_docs(doc["H"]))
+
+
+def _blobs_from_docs(subs: list[Any]) -> list[DiGraph]:
+    """The blob digraphs of a non-empty ``composition.H``.
+
+    Valid documents are ``{"n": k, "arcs": [...]}`` with an int k >= 1.  When
+    C-level scans show that all are, with every k within int64, the arcless
+    blobs share one ``DiGraph(k)`` per size, and the arcs of all other blobs
+    are checked together in one `_checked_arcs` call, with no Python work
+    per blob besides building it.  Otherwise the documents are read one by
+    one, in order, and the first malformed one raises.
+    """
+    regular = set(map(type, subs)) == {dict} and set(map(len, subs)) == {2}
+    if regular:
+        sizes = list(map(dict.get, subs, repeat("n")))
+        arc_lists = list(map(dict.get, subs, repeat("arcs")))
+        regular = (
+            set(map(type, sizes)) == {int}
+            and 1 <= min(sizes) <= max(sizes) <= np.iinfo(np.int64).max
+            and set(map(type, arc_lists)) == {list}
+        )
+    if not regular:
+        return [_blob_from_doc(i, sub) for i, sub in enumerate(subs)]
+    arcless = {k: DiGraph(k) for k in set(sizes)}
+    blobs = list(map(arcless.__getitem__, sizes))
+    with_arcs = list(compress(range(len(subs)), arc_lists))
+    lists = list(map(arc_lists.__getitem__, with_arcs))
+    counts = np.fromiter(map(len, lists), np.int64, len(lists))
+    group = np.repeat(np.arange(len(lists)), counts)
+    items = list(chain.from_iterable(lists))
+    bound = np.fromiter(map(sizes.__getitem__, with_arcs), np.int64, len(lists))
+    tails, heads, first = _checked_arcs(items, np.repeat(bound, counts), group)
+    ends = np.cumsum(counts).tolist()
+    starts = [0, *ends[:-1]]
+    if first < len(items):
+        k = int(group[first])
+        i, n = with_arcs[k], sizes[with_arcs[k]]
+        where = f"composition.H[{i}].arcs[{first - starts[k]}]"
+        raise FormatError(f"{where}: {_arc_problem(items[first], n)}")
+    for i, a, b in zip(with_arcs, starts, ends):
+        blobs[i] = DiGraph.from_sorted_arrays(sizes[i], tails[a:b], heads[a:b])
+    return blobs
+
+
+def _blob_from_doc(i: int, sub: Any) -> DiGraph:
+    if not isinstance(sub, dict):
+        raise FormatError(f"composition.H[{i}]: expected a digraph object")
+    blob = _digraph_from_doc(sub, f"composition.H[{i}]")
+    if blob.vertex_count < 1:
+        raise FormatError(f"composition.H[{i}].n: a blob needs at least 1 vertex")
+    return blob
 
 
 def serialize_composition(spec: CompositionSpec) -> str:
-    return json.dumps(
-        {"T": _digraph_doc(spec.outer), "H": [_digraph_doc(h) for h in spec.blobs]}
-    )
+    # Blobs often share one DiGraph object; each is written once.
+    distinct = {id(h): h for h in spec.blobs}
+    texts = {key: serialize_digraph(h) for key, h in distinct.items()}
+    blobs = ", ".join(map(texts.__getitem__, map(id, spec.blobs)))
+    return f'{{"T": {serialize_digraph(spec.outer)}, "H": [{blobs}]}}'
 
 
 def parse_good_pair(text: str) -> GoodPair:
@@ -155,8 +252,8 @@ def parse_good_pair(text: str) -> GoodPair:
     in_arcs = _parse_arc_list(doc["in_arcs"], None, "pair.in_arcs")
     return GoodPair(
         root,
-        Branching(root, "out", out_arcs),
-        Branching(root, "in", in_arcs),
+        Branching.from_sorted_arrays(root, "out", *out_arcs),
+        Branching.from_sorted_arrays(root, "in", *in_arcs),
     )
 
 
@@ -174,7 +271,9 @@ def good_pair_doc(gp: GoodPair) -> dict[str, Any]:
 
 
 def serialize_good_pair(gp: GoodPair) -> str:
-    return json.dumps(good_pair_doc(gp))
+    out_arcs = _arc_list_text(gp.out_branching.arcs_in_order())
+    in_arcs = _arc_list_text(gp.in_branching.arcs_in_order())
+    return f'{{"root": {gp.root}, "out_arcs": {out_arcs}, "in_arcs": {in_arcs}}}'
 
 
 def serialize_ear_decomposition(ed: EarDecomposition) -> str:

@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive and self-contained: reachability by
 hand-rolled BFS over arc sets, branching candidates by iterating raw arc
-subsets, and a per-arc loop as the reference for the branching verifier.
+subsets, and per-item loops as the references for the branching verifier,
+the parsers' arc-list checks and the semicomplete test.
 Keep it that way; these functions must not share search logic with the
 code they check.
 """
@@ -107,6 +108,42 @@ def reference_branching_problems(d: DiGraph, b) -> tuple[str, ...]:
             return (f"vertex {missing} unreachable from root {b.root}",)
         return (f"root {b.root} not reachable from vertex {missing}",)
     return ()
+
+
+def reference_arc_list_error(raw, n: int | None, field: str) -> str | None:
+    """The error text the parsers should give for the arc list ``raw`` under
+    ``field``, or None when it is valid, found by a per-item loop: the first
+    bad item, and at it the first failing check in the order pair of
+    integers, loop, range (when ``n`` is given), duplicate."""
+    if not isinstance(raw, list):
+        return f"{field}: expected a list of arcs"
+    seen = set()
+    for i, item in enumerate(raw):
+        where = f"{field}[{i}]"
+        if (
+            not isinstance(item, list)
+            or len(item) != 2
+            or not all(isinstance(x, int) and not isinstance(x, bool) for x in item)
+        ):
+            return f"{where}: an arc must be a pair of integers"
+        u, v = item
+        if u == v:
+            return f"{where}: loop ({u},{v}) not allowed"
+        if n is not None and not (0 <= u < n and 0 <= v < n):
+            return f"{where}: arc ({u},{v}) out of range for n={n}"
+        if (u, v) in seen:
+            return f"{where}: duplicate arc ({u},{v})"
+        seen.add((u, v))
+    return None
+
+
+def reference_is_semicomplete(d: DiGraph) -> bool:
+    """Every pair of distinct vertices looked up in the arc set."""
+    for x in range(d.vertex_count):
+        for y in range(x + 1, d.vertex_count):
+            if (x, y) not in d.arcs and (y, x) not in d.arcs:
+                return False
+    return True
 
 
 def mutually_reachable(d: DiGraph, x: int, y: int) -> bool:

@@ -1,11 +1,21 @@
 from __future__ import annotations
 
+import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import goodpairs
 from goodpairs.cli import main
+from goodpairs.io import serialize_composition
+
+from test_construct import PRECONDITION_ERRORS
 
 C3 = '{"n": 3, "arcs": [[0, 1], [1, 2], [2, 0]]}'
 SPEC_C3_K2BAR = (
@@ -49,6 +59,69 @@ def test_solve_rejects_undersized_blob(tmp_path, capsys):
     p.write_text(SPEC_C3_K1)
     assert main(["solve", str(p), "--root", "1.1"]) == 2
     assert "fewer than 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec, root, message", PRECONDITION_ERRORS)
+def test_solve_precondition_errors_are_pinned(spec, root, message, tmp_path, capsys):
+    p = tmp_path / "spec.json"
+    p.write_text(serialize_composition(spec))
+    assert main(["solve", str(p), "--root", root]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_gen_and_solve_text_is_pinned(capsys, monkeypatch):
+    """gen composition's spec (N = 20018, blobs with arcs) and solve's pairs
+    at four roots of it, byte for byte."""
+    argv = ["gen", "composition", "--t", "8000", "--blob-min", "2", "--blob-max", "3"]
+    assert main(argv + ["--blob-arc-prob", "0.5", "--seed", "11"]) == 0
+    spec = capsys.readouterr().out
+    assert _sha256(spec) == (
+        "e9f2254e1d378e72c9ce04e8a863bd621d8c7d1f79e73615ad86192720950f4e"
+    )
+    pairs = []
+    for root in ("1.1", "2.2", "4001.1", "8000.2"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(spec))
+        assert main(["solve", "-", "--root", root]) == 0
+        pairs.append(capsys.readouterr().out)
+    assert _sha256("".join(pairs)) == (
+        "7f10028e3a977a5a1d041dc9cc7ade692431aa1e767fd3ced88c7e4f68671d4e"
+    )
+
+
+def test_pipeline_through_the_entry_point(tmp_path):
+    """gen | solve -, gen | compose -, then verify, each a `python -m
+    goodpairs` process."""
+    src = str(Path(goodpairs.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    cli = [sys.executable, "-m", "goodpairs"]
+    gen = cli + ["gen", "composition", "--t", "6", "--blob-min", "2", "--blob-max", "3"]
+    gen += ["--blob-arc-prob", "0.3", "--seed", "4"]
+
+    def piped(command: list[str]) -> subprocess.CompletedProcess:
+        with subprocess.Popen(gen, stdout=subprocess.PIPE, env=env) as producer:
+            done = subprocess.run(
+                command, stdin=producer.stdout, capture_output=True, text=True, env=env
+            )
+            producer.stdout.close()
+        assert producer.returncode == 0
+        return done
+
+    solve = piped(cli + ["solve", "-", "--root", "2.1"])
+    compose = piped(cli + ["compose", "-"])
+    assert (solve.returncode, compose.returncode) == (0, 0), solve.stderr + compose.stderr
+    pair, q = tmp_path / "pair.json", tmp_path / "q.json"
+    pair.write_text(solve.stdout)
+    q.write_text(compose.stdout)
+    verify = subprocess.run(
+        cli + ["verify", str(q), str(pair)], capture_output=True, text=True, env=env
+    )
+    assert verify.returncode == 0, verify.stderr
+    assert verify.stdout == '{"valid": true, "problems": []}\n'
 
 
 def test_solve_deeply_nested_input_is_invalid(tmp_path, capsys):

@@ -24,7 +24,7 @@ from goodpairs import (
     verify_good_pair,
 )
 
-from bruteforce import reference_branching_problems
+from bruteforce import reference_branching_problems, reference_is_semicomplete
 from strategies import digraphs
 
 
@@ -129,6 +129,22 @@ class TestIsSemicomplete:
 
     def test_biorientation_of_k2(self):
         assert is_semicomplete(DiGraph(2, [(0, 1), (1, 0)]))
+
+    def test_agrees_with_the_pair_loop_on_every_digraph_up_to_4_vertices(self):
+        from goodpairs.io import parse_digraph, serialize_digraph
+
+        for n in range(5):
+            pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+            for mask in range(1 << len(pairs)):
+                d = DiGraph(n, [p for k, p in enumerate(pairs) if mask >> k & 1])
+                expected = reference_is_semicomplete(d)
+                assert is_semicomplete(d) == expected, d
+                # the same digraph built from the parser's sorted arrays
+                assert is_semicomplete(parse_digraph(serialize_digraph(d))) == expected
+
+    @given(digraphs(max_n=9))
+    def test_agrees_with_the_pair_loop(self, d):
+        assert is_semicomplete(d) == reference_is_semicomplete(d)
 
 
 class TestValidateForConstruction:

@@ -185,6 +185,36 @@ class TestSkeletonGoodPair:
             skeleton_good_pair(DiGraph(3, [(0, 1), (1, 2)]), 1)
 
 
+# 0 and 1 form a 2-cycle and 2 is only entered: at blob 1 the shortest cycle
+# exists and the ear walk finds the outer not strong; at blob 3 there is no
+# cycle at all.
+HALF_STRONG = DiGraph(3, [(0, 1), (1, 0), (1, 2)])
+
+PRECONDITION_ERRORS = [
+    (CompositionSpec(HALF_STRONG, [DiGraph(2)] * 3), "1.1", "outer digraph is not strong"),
+    (CompositionSpec(HALF_STRONG, [DiGraph(2)] * 3), "3.2", "outer digraph is not strong"),
+    (
+        CompositionSpec(HALF_STRONG, [DiGraph(2), DiGraph(1), DiGraph(2)]),
+        "1.1",
+        "outer digraph is not strong; blob 2 has fewer than 2 vertices",
+    ),
+    (CompositionSpec(HALF_STRONG, [DiGraph(2)] * 3), "4.1", "outer digraph is not strong"),
+    (
+        CompositionSpec(DiGraph(1), [DiGraph(2)]),
+        "1.1",
+        "outer digraph has 1 vertex; at least 2 required",
+    ),
+]
+
+
+@pytest.mark.parametrize("spec, root, message", PRECONDITION_ERRORS)
+def test_precondition_errors_are_pinned(spec, root, message):
+    blob, layer = map(int, root.split("."))
+    with pytest.raises(ValueError) as exc:
+        construct_good_pair(spec, bv(blob, layer))
+    assert str(exc.value) == message
+
+
 class TestExtendLayers:
     def test_extra_layer_attachments(self, c3):
         spec = CompositionSpec(c3, [DiGraph(2), DiGraph(3), DiGraph(2)])

@@ -7,12 +7,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from goodpairs import (
+    BlobVertex,
     Branching,
     CompositionSpec,
     DiGraph,
     GoodPair,
+    construct_good_pair,
     cycle_through,
     ear_decompose,
+    gen_composition,
     verify_good_pair,
 )
 from goodpairs.io import (
@@ -26,6 +29,9 @@ from goodpairs.io import (
     serialize_ear_decomposition,
     serialize_good_pair,
 )
+
+from bruteforce import reference_arc_list_error
+from strategies import digraphs
 
 
 _json_values = st.recursive(
@@ -141,6 +147,161 @@ class TestMalformedText:
                 parse(text)
             except FormatError:
                 pass
+
+
+BIG = 2**63 + 1
+
+
+@st.composite
+def _mutated_arc_lists(draw, n: int):
+    """A valid arc list on n vertices with a few items replaced or inserted
+    at random positions by malformed items, loops, ids out of range or
+    beyond int64, and repeats of earlier arcs."""
+    pairs = [[u, v] for u in range(n) for v in range(n) if u != v]
+    raw = draw(st.lists(st.sampled_from(pairs), unique_by=tuple, max_size=8)) if pairs else []
+    if draw(st.booleans()):
+        raw.sort()
+    for _ in range(draw(st.integers(0, 3))):
+        position = draw(st.integers(0, len(raw)))
+        earlier = raw[:position] or [[0, 1]]
+        bad = draw(
+            st.sampled_from(
+                [
+                    [True, 1], [0, False], [0, 1.0], ["0", 1], [[0], 1], [0, None],
+                    [0, 1, 2], [0], 5, "01", {"0": 1},
+                    [0, 0], [n - 1, n - 1], [-1, 0], [0, -1], [0, n], [n + 3, 1],
+                    [BIG, 0], [0, 2**64], [-(2**63) - 1, 0], [BIG, BIG],
+                    draw(st.sampled_from(earlier)),
+                ]
+            )
+        )
+        if draw(st.booleans()) and position < len(raw):
+            raw[position] = bad
+        else:
+            raw.insert(position, bad)
+    return raw
+
+
+def _arc_list_error(parse, text):
+    try:
+        return parse(text), None
+    except FormatError as exc:
+        return None, str(exc)
+
+
+class TestArcListChecks:
+    """The parsers' array checks against the per-item reference loop."""
+
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), _mutated_arc_lists(n))))
+    def test_digraph(self, case):
+        n, raw = case
+        d, error = _arc_list_error(parse_digraph, json.dumps({"n": n, "arcs": raw}))
+        assert error == reference_arc_list_error(raw, n, "digraph.arcs")
+        if error is None:
+            assert d == DiGraph(n, map(tuple, raw))
+
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.tuples(st.just(n), _mutated_arc_lists(n), _mutated_arc_lists(n))
+        )
+    )
+    def test_composition(self, case):
+        n, first, second = case
+        blobs = [{"n": 2, "arcs": [[0, 1]]}, {"n": n, "arcs": first}, {"n": 1, "arcs": []}]
+        blobs.append({"n": n, "arcs": second})
+        doc = {"T": {"n": 4, "arcs": [[0, 1], [1, 2], [2, 3], [3, 0]]}, "H": blobs}
+        spec, error = _arc_list_error(parse_composition, json.dumps(doc))
+        expected = reference_arc_list_error(
+            first, n, "composition.H[1].arcs"
+        ) or reference_arc_list_error(second, n, "composition.H[3].arcs")
+        assert error == expected
+        if error is None:
+            assert spec.blobs[1] == DiGraph(n, map(tuple, first))
+            assert spec.blobs[3] == DiGraph(n, map(tuple, second))
+        outer = {"n": n, "arcs": first}
+        doc = {"T": outer, "H": [{"n": 1, "arcs": []}] * n}
+        spec, error = _arc_list_error(parse_composition, json.dumps(doc))
+        assert error == reference_arc_list_error(first, n, "composition.T.arcs")
+
+    @given(st.integers(1, 4).flatmap(_mutated_arc_lists), st.booleans())
+    def test_good_pair(self, raw, as_out):
+        key = "out_arcs" if as_out else "in_arcs"
+        doc = {"root": 0, "out_arcs": [], "in_arcs": [], key: raw}
+        gp, error = _arc_list_error(parse_good_pair, json.dumps(doc))
+        assert error == reference_arc_list_error(raw, None, f"pair.{key}")
+        if error is None:
+            b = gp.out_branching if as_out else gp.in_branching
+            assert b.arcs == set(map(tuple, raw))
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            # the first repeat is of arc (1,2), though (0,1) repeats after it
+            ([[0, 1], [1, 2], [1, 2], [0, 1]], "digraph.arcs[2]: duplicate arc (1,2)"),
+            ([[2, 1], [0, 1], [2, 1], [0, 1]], "digraph.arcs[2]: duplicate arc (2,1)"),
+            ([[0, 1], [1, 1], [0, 1]], "digraph.arcs[1]: loop (1,1) not allowed"),
+            ([[0, 1], [0, 1], [True, 0]], "digraph.arcs[1]: duplicate arc (0,1)"),
+            ([[0, 1], [BIG, 0]], f"digraph.arcs[1]: arc ({BIG},0) out of range for n=3"),
+            ([[BIG, BIG]], f"digraph.arcs[0]: loop ({BIG},{BIG}) not allowed"),
+        ],
+    )
+    def test_first_failing_index_is_named(self, raw, message):
+        assert reference_arc_list_error(raw, 3, "digraph.arcs") == message
+        with pytest.raises(FormatError) as exc:
+            parse_digraph(json.dumps({"n": 3, "arcs": raw}))
+        assert str(exc.value) == message
+
+
+def _old_digraph_doc(d: DiGraph) -> dict:
+    return {"n": d.vertex_count, "arcs": [list(a) for a in sorted(d.arcs)]}
+
+
+def _old_pair_doc(gp: GoodPair) -> dict:
+    return {
+        "root": gp.root,
+        "out_arcs": [list(a) for a in sorted(gp.out_branching.arcs)],
+        "in_arcs": [list(a) for a in sorted(gp.in_branching.arcs)],
+    }
+
+
+class TestWritersMatchJsonDumps:
+    """The writers' text, byte for byte, against json.dumps of the document."""
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_digraph_without_arcs(self, n):
+        assert serialize_digraph(DiGraph(n)) == json.dumps(_old_digraph_doc(DiGraph(n)))
+
+    @given(digraphs())
+    def test_digraph(self, d):
+        expected = json.dumps(_old_digraph_doc(d))
+        assert serialize_digraph(d) == expected
+        assert serialize_digraph(parse_digraph(expected)) == expected
+
+    def test_ids_beyond_int64(self):
+        d = DiGraph(2**63 + 5, [(BIG, 0), (0, BIG + 2), (3, 1)])
+        expected = json.dumps(_old_digraph_doc(d))
+        assert serialize_digraph(d) == expected
+        parsed = parse_digraph(expected)
+        assert parsed == d and serialize_digraph(parsed) == expected
+        doc = {"T": _old_digraph_doc(DiGraph(2, [(0, 1)])), "H": [_old_digraph_doc(d)] * 2}
+        spec = parse_composition(json.dumps(doc))
+        assert spec.blobs == (d, d) and serialize_composition(spec) == json.dumps(doc)
+
+    def test_composition_with_shared_blobs(self):
+        c4 = DiGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        shared, arc = DiGraph(2), DiGraph(3, [(2, 0), (0, 1)])
+        spec = CompositionSpec(c4, [shared, arc, shared, DiGraph(2)])
+        doc = {"T": _old_digraph_doc(c4), "H": [_old_digraph_doc(h) for h in spec.blobs]}
+        assert serialize_composition(spec) == json.dumps(doc)
+        assert serialize_composition(parse_composition(json.dumps(doc))) == json.dumps(doc)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_constructed_pairs(self, seed):
+        spec = gen_composition(12, (2, 4), 0.3, "strong", seed)
+        for blob in (1, 7, 12):
+            for layer in (1, 2):
+                gp = construct_good_pair(spec, BlobVertex(blob, layer))
+                assert serialize_good_pair(gp) == json.dumps(_old_pair_doc(gp))
 
 
 class TestGoodPairFormat:
