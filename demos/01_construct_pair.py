@@ -15,7 +15,6 @@ from goodpairs import (
     construct_good_pair,
     cycle_through,
     decide_good_pair_exact,
-    ear_decompose,
     materialize,
     skeleton_good_pair,
     verify_good_pair,
@@ -37,18 +36,23 @@ root = BlobVertex(2, 3)  # layer 3 of blob 2: an "extra" layer, why not
 start = cycle_through(outer, root.blob - 1)
 print(f"starting cycle through blob {root.blob}: {start.vertices}")
 
-# Stage 2: the remaining outer arcs arrive as ears.
-ears = ear_decompose(outer, start)
-for i, ear in enumerate(ears.ears):
-    print(f"  ear {i}: {ear.kind:13s} {ear.vertices}")
-
-# Stage 3: the skeleton pair spans layers 1-2 of every blob.
+# Stage 2: the skeleton pair spans layers 1-2 of every blob.
 # Skeleton vertex 2*b + k is layer k+1 of outer vertex b; each tree is one
 # int array (out-tree parent, in-tree successor), with -1 at the root.
 out_parent, in_next = skeleton_good_pair(outer, root.blob)
 print(f"skeleton: {sum(p >= 0 for p in out_parent)} out-arcs, "
       f"{sum(n >= 0 for n in in_next)} in-arcs, "
       f"over {len(out_parent)} skeleton vertices")
+
+# Every blob off the cycle hangs off it by two breadth-first forests: the
+# out-tree enters its layers from its forest parent, layer for layer, and
+# the in-tree leaves them for its forest successor, swapping layers.
+on_cycle = set(start.vertices)
+for b in range(outer.vertex_count):
+    if b not in on_cycle:
+        parent, successor = out_parent[2 * b] // 2, in_next[2 * b] // 2
+        print(f"  blob {b + 1}: forest parent blob {parent + 1}, "
+              f"successor blob {successor + 1}")
 
 # The full pipeline: extra layers, with the root in layer 1's place.
 pair = construct_good_pair(spec, root)

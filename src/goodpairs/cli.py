@@ -17,6 +17,7 @@ Every pair that ``solve`` and ``decide-sc`` print has passed
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -78,8 +79,8 @@ def _cmd_decide_sc(args: argparse.Namespace) -> int:
     root = _parse_blob_root(args.root)
     decision = decide_semicomplete(spec, root)
     if decision.found:
-        print(gio.serialize_good_pair(decision.pair))
         _write_dot(args, decision.pair)
+        print(gio.serialize_good_pair(decision.pair))
         return EXIT_FOUND
     print('{"status": "absent"}')
     print(f"absent: {decision.reason}", file=sys.stderr)
@@ -94,8 +95,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         return EXIT_FOUND
     decision = decide_good_pair_exact(d, args.root, vertex_cap=args.kernel_cap)
     if decision.found:
-        print(gio.serialize_good_pair(decision.pair))
         _write_dot(args, decision.pair)
+        print(gio.serialize_good_pair(decision.pair))
         return EXIT_FOUND
     if decision.absent:
         print('{"status": "absent"}')
@@ -153,6 +154,7 @@ def _cmd_ears(args: argparse.Namespace) -> int:
     return EXIT_FOUND
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="goodpairs",

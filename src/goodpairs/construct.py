@@ -3,21 +3,21 @@ size at least two.
 
 The pipeline works entirely on the two-layer skeleton (layers 1 and 2 of
 every blob, intra-blob arcs ignored): seed a pair on the blobs of a cycle
-through the root blob, absorb the remaining outer structure ear by ear, then
-hang layers 3.. of each blob off the arcs already incident to its layer-2
-vertex.  The composition is never materialized; every arc used crosses
-between blobs whose outer vertices are adjacent, so existence is implied.
-The finished pair is still verified on the implicit view before it is
-returned.
+through the root blob, hang every other blob off the cycle by a breadth-
+first out-forest and in-forest, then hang layers 3.. of each blob off the
+arcs already incident to its layer-2 vertex.  The composition is never
+materialized; every arc used crosses between blobs whose outer vertices are
+adjacent, so existence is implied.  The finished pair is still verified on
+the implicit view before it is returned.
 
 Skeleton vertices are ints: ``2 * b + k`` is layer ``k + 1`` of the blob
-carried by outer vertex ``b`` (0-based).  A skeleton pair is two lists over
-these ids, ``out_parent`` (the tail of each vertex's in-arc in the out-tree)
-and ``in_next`` (the head of each vertex's out-arc in the in-tree), with -1
-at the root, which is always layer 1 of the root blob.  `extend_layers`
-turns them into the same two pointer arrays over all global ids, with numpy,
-and the finished `Branching`s hold their arcs as sorted int arrays from there
-through verification to the printed pair.
+carried by outer vertex ``b`` (0-based).  A skeleton pair is two int64
+arrays over these ids, ``out_parent`` (the tail of each vertex's in-arc in
+the out-tree) and ``in_next`` (the head of each vertex's out-arc in the
+in-tree), with -1 at the root, which is always layer 1 of the root blob.
+`extend_layers` turns them into the same two pointer arrays over all global
+ids, with numpy, and the finished `Branching`s hold their arcs as sorted int
+arrays from there through verification to the printed pair.
 """
 
 from __future__ import annotations
@@ -25,19 +25,20 @@ from __future__ import annotations
 import numpy as np
 
 from .composition import BlobVertex, CompositionSpec, validate_for_construction
-from .digraph import Branching, DiGraph, GoodPair, require_good_pair
-from .ears import cycle_through, ear_walks
+from .digraph import Branching, DiGraph, GoodPair, bfs_pointers, require_good_pair
+from .ears import cycle_through
 
 # ear_decompose is not called here; it stays importable from this module
 # only because perfbench/spans.py looks it up here by name (--trace 1).
 from .ears import ear_decompose  # noqa: F401
 
-Skeleton = tuple[list[int], list[int]]
+Skeleton = tuple[np.ndarray, np.ndarray]
 
 
 def skeleton_good_pair(outer: DiGraph, root_blob: int) -> Skeleton:
-    """Skeleton pair ``(out_parent, in_next)`` covering every blob of a
-    strong outer digraph, rooted at layer 1 of ``root_blob`` (1-based).
+    """Skeleton pair ``(out_parent, in_next)``, two int64 arrays covering
+    every blob of a strong outer digraph, rooted at layer 1 of ``root_blob``
+    (1-based).
 
     Seed: on the shortest cycle c0 .. c(m-1) through the root blob, the
     out-tree is the single path through all layer-1 vertices in cycle order
@@ -55,52 +56,50 @@ def skeleton_good_pair(outer: DiGraph, root_blob: int) -> Skeleton:
     The chains occupy complementary layers at every blob, so this is an
     in-branching for every m >= 2, and no arc appears in both trees.
 
-    Ears: for each walk w0 .. wL of `ear_walks`, the greedy ears that cover
-    the remaining blobs (w0, wL covered; w1 .. w(L-1) new), the out-tree
-    gains the two layer-preserving paths
+    Forests: two breadth-first searches start at the cycle's blobs in cycle
+    order, one over out-arcs and one over in-arcs.  For a blob b off the
+    cycle, let p(b) be the blob from which the first search reaches b and
+    s(b) the blob from which the second does, so p(b) -> b and b -> s(b)
+    are outer arcs.  The out-tree gains
 
-        (wk, j) -> (wk+1, j)      k = 0 .. L-2,  j in {1, 2}
+        (p(b), k) -> (b, k)                           k in {1, 2}
 
-    and the in-tree gains the two layer-alternating paths
+    and the in-tree gains
 
-        (wk, 1) -> (wk+1, 2)      k = 1 .. L-1
-        (wk, 2) -> (wk+1, 1)      k = 1 .. L-1.
+        (b, 1) -> (s(b), 2)  and  (b, 2) -> (s(b), 1).
 
-    Out-arcs start at the covered end, so every new vertex gets in-degree
-    one and stays reachable; in-arcs start at the first new blob, so every
-    new vertex gets out-degree one and drains into the covered end.  Covered
-    vertices gain no in-arc in the out-tree and no out-arc in the in-tree,
-    which keeps both trees intact.  A cycle ear is the same rule with
-    wL = w0.
+    Each search tree leads every blob back to the cycle, so both trees stay
+    spanning trees at the root.  No arc is shared: a forest out-arc has its
+    head off the cycle and keeps its layer; a forest in-arc has its tail off
+    the cycle and swaps the layer; every seed arc has both ends on the
+    cycle.  So no forest arc equals a seed arc or a forest arc of the other
+    tree, and the seed is disjoint by itself.  A blob that either search
+    misses shows that the outer is not strong, and raises ValueError.
     """
     t = outer.vertex_count
     if not (1 <= root_blob <= t):
         raise ValueError(f"root blob {root_blob} out of range 1..{t}")
     if t < 2:
         raise ValueError("outer digraph must have at least 2 vertices")
-    start = cycle_through(outer, root_blob - 1)
+    cycle = cycle_through(outer, root_blob - 1).vertices[:-1]
+    p = np.array(bfs_pointers(outer.out_adj, cycle), dtype=np.int64)
+    s = np.array(bfs_pointers(outer.in_adj, cycle), dtype=np.int64)
+    if p.min() < 0 or s.min() < 0:
+        raise ValueError("outer digraph is not strong")
 
-    out_parent = [-1] * (2 * t)
-    in_next = [-1] * (2 * t)
-    cycle = start.vertices[:-1]
-    path = [2 * c for c in cycle] + [2 * c + 1 for c in cycle]
-    for prev, cur in zip(path, path[1:]):
-        out_parent[cur] = prev
-    for a, b in zip(cycle, cycle[1:]):
-        in_next[2 * a + 1] = 2 * b
-    for a, b in zip(cycle[1:], cycle[2:]):
-        in_next[2 * a] = 2 * b + 1
-    last = cycle[-1]
-    in_next[2 * last] = in_next[2 * last + 1] = 2 * cycle[0]
-
-    for walk in ear_walks(outer, start):
-        inner = walk[1:-1]
-        for a, b in zip(walk, inner):
-            out_parent[2 * b] = 2 * a
-            out_parent[2 * b + 1] = 2 * a + 1
-        for a, b in zip(inner, walk[2:]):
-            in_next[2 * a] = 2 * b + 1
-            in_next[2 * a + 1] = 2 * b
+    # The forests at every blob; on the cycle (p(b) = s(b) = b) the seed
+    # then takes each slot's place.
+    out_parent = np.repeat(2 * p, 2)
+    out_parent[1::2] += 1
+    in_next = np.repeat(2 * s, 2)
+    in_next[::2] += 1
+    c = 2 * np.array(cycle, dtype=np.int64)
+    path = np.concatenate([c, c + 1])
+    out_parent[path[1:]] = path[:-1]
+    in_next[c[:-1] + 1] = c[1:]
+    in_next[c[1:-1]] = c[2:] + 1
+    in_next[c[-1]] = in_next[c[-1] + 1] = c[0]
+    out_parent[c[0]] = in_next[c[0]] = -1
     return out_parent, in_next
 
 
@@ -161,17 +160,17 @@ def construct_good_pair(spec: CompositionSpec, root: BlobVertex) -> GoodPair:
     """Good pair at ``root`` for a composition with strong outer and all
     blobs of size >= 2.
 
-    Runs on the implicit arc interface only, in time roughly linear in the
-    composition order plus the ear walk of the outer digraph, and never
-    materializes the composition.  The pair is checked by `verify_good_pair`
-    on ``spec.implicit_view()`` before it is returned; a pair that fails
-    raises ValueError naming the first problem.
+    Runs on the implicit arc interface only, in time linear in the
+    composition order plus a few breadth-first searches of the outer
+    digraph, and never materializes the composition.  The pair is checked
+    by `verify_good_pair` on ``spec.implicit_view()`` before it is returned;
+    a pair that fails raises ValueError naming the first problem.
     """
     try:
         spec.check_blob_vertex(root)
         pair = extend_layers(skeleton_good_pair(spec.outer, root.blob), spec, root)
     except ValueError:
-        # The ear walk raises on an outer that is not strong, so the
+        # The skeleton raises on an outer that is not strong, so the
         # preconditions are only gathered, all of them named, on failure.
         report = validate_for_construction(spec)
         if not report.ok:

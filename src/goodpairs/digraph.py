@@ -7,7 +7,6 @@ here is immutable after construction and safe to share between threads.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -178,19 +177,30 @@ def induced_subgraph(d: DiGraph, kept: Iterable[int]) -> DiGraph:
     return DiGraph(len(kept_sorted), arcs)
 
 
-def _reachable_count(adj: tuple[tuple[int, ...], ...], start: int) -> int:
-    """Number of vertices reachable from ``start`` over ``adj``."""
-    seen = bytearray(len(adj))
-    seen[start] = 1
-    stack = [start]
-    count = 1
-    while stack:
-        for w in adj[stack.pop()]:
-            if not seen[w]:
-                seen[w] = 1
-                count += 1
-                stack.append(w)
-    return count
+def bfs_pointers(adj: tuple[tuple[int, ...], ...], sources: Iterable[int]) -> list[int]:
+    """Breadth-first search over ``adj`` from ``sources``, taken in order.
+
+    Returns one pointer per vertex: a source points at itself, any other
+    reached vertex at the vertex it was first reached from, and a vertex
+    never reached holds -1.  Neighbours are read in stored order, and the
+    search stops as soon as every vertex is reached.
+    """
+    pointer = [-1] * len(adj)
+    queue = []
+    for s in sources:
+        if pointer[s] == -1:
+            pointer[s] = s
+            queue.append(s)
+    left = len(adj) - len(queue)
+    for u in queue:  # the loop also reads what it appends: a FIFO queue
+        if not left:
+            break
+        for w in adj[u]:
+            if pointer[w] == -1:
+                pointer[w] = u
+                queue.append(w)
+                left -= 1
+    return pointer
 
 
 def strong_components(d: DiGraph) -> tuple[list[frozenset[int]], DiGraph]:
@@ -266,9 +276,9 @@ def is_strong(d: DiGraph) -> bool:
     if d.vertex_count <= 1:
         return True
     # Cheaper than full Tarjan: mutual reachability from vertex 0.
-    if _reachable_count(d.out_adj, 0) != d.vertex_count:
+    if -1 in bfs_pointers(d.out_adj, (0,)):
         return False
-    return _reachable_count(d.in_adj, 0) == d.vertex_count
+    return -1 not in bfs_pointers(d.in_adj, (0,))
 
 
 @dataclass(frozen=True, eq=False)
@@ -370,18 +380,8 @@ def _bfs_tree(
 ) -> Branching | None:
     """Breadth-first tree from ``r`` over ``adj``, or None if it does not
     span; each vertex points at the vertex it was first reached from."""
-    pointer = [-1] * len(adj)
-    pointer[r] = r
-    queue = deque([r])
-    reached = 1
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if pointer[w] == -1:
-                pointer[w] = u
-                reached += 1
-                queue.append(w)
-    if reached != len(adj):
+    pointer = bfs_pointers(adj, (r,))
+    if -1 in pointer:
         return None
     pointer[r] = -1
     return Branching.from_pointers(r, kind, np.array(pointer, dtype=np.int64))

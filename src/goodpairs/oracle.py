@@ -11,13 +11,7 @@ from typing import Iterator, Literal
 
 import numpy as np
 
-from .digraph import (
-    Branching,
-    DiGraph,
-    GoodPair,
-    find_in_branching,
-    _reachable_count,
-)
+from .digraph import Branching, DiGraph, GoodPair, bfs_pointers, find_in_branching
 
 DEFAULT_VERTEX_CAP = 14
 
@@ -53,7 +47,7 @@ def enumerate_out_branchings(
     if limit is not None and limit <= 0:
         return
     n = d.vertex_count
-    if _reachable_count(d.out_adj, r) != n:
+    if -1 in bfs_pointers(d.out_adj, (r,)):
         return  # some vertex unreachable: no spanning out-branching exists
     vertices = [v for v in range(n) if v != r]
     in_adj = d.in_adj

@@ -162,6 +162,16 @@ def labeled_tournaments(n: int):
         yield DiGraph(n, arcs)
 
 
+def strong_labeled_digraphs(n: int):
+    """Yield every labeled strong digraph on n vertices: every arc subset in
+    which vertex 0 reaches every vertex and every vertex reaches 0."""
+    pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
+    for mask in range(1 << len(pairs)):
+        arcs = [a for i, a in enumerate(pairs) if mask >> i & 1]
+        if len(reachable_from(arcs, n, 0)) == n and all_reach(arcs, n, 0):
+            yield DiGraph(n, arcs)
+
+
 def root_adjacent_digraphs(n: int):
     """Yield every labeled digraph on n vertices in which every vertex is
     adjacent to vertex 0: 3^(n-1) root patterns times 4^C(n-1, 2) others."""

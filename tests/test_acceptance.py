@@ -37,6 +37,7 @@ from goodpairs.io import serialize_good_pair
 
 from bruteforce import (
     labeled_tournaments,
+    reference_branching_problems,
     root_adjacent_digraphs,
     subset_good_pair_exists,
 )
@@ -71,9 +72,16 @@ def test_c1_construction_correctness_on_500_specs():
     roots_checked = 0
     for seed, spec in _c1_specs():
         view = spec.implicit_view()
+        q = materialize(spec)
         for root in every_root(spec):
             pair = construct_good_pair(spec, root)
-            if not verify_good_pair(view, pair).ok:
+            out_b, in_b = pair.out_branching, pair.in_branching
+            if (
+                not verify_good_pair(view, pair).ok
+                or reference_branching_problems(q, out_b)
+                or reference_branching_problems(q, in_b)
+                or out_b.arcs & in_b.arcs
+            ):
                 failures.append((seed, root))
             roots_checked += 1
     elapsed = time.perf_counter() - started
@@ -92,7 +100,7 @@ def test_c1_pair_text_is_pinned():
         for root in every_root(spec)
     )
     assert _text_digest(lines) == (
-        "7a4b011fd4efe75bd8df10f5970793acaf8450f24cd7def3787a4b32327ec7b5"
+        "31225ada70710b856b5d415bea82f69a91cbb2684ad4787b671d9879c2b5f947"
     )
 
 
@@ -199,7 +207,7 @@ def test_c4_decision_text_is_pinned():
             d = decide_semicomplete(spec, spec.blob_vertex(r))
             lines.append(serialize_good_pair(d.pair) if d.found else f"{d.status} {d.reason}")
     assert _text_digest(lines) == (
-        "801deceebb24a849f934a312211437975daa7739b68d5d7bfdb884d5ce686a30"
+        "d0f34e9310abbac345ff4e2228838cca8b4f07cc99ddb0552d8e48d5769d0f18"
     )
 
 

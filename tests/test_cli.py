@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import goodpairs
-from goodpairs.cli import main
+from goodpairs.cli import build_parser, main
 from goodpairs.io import serialize_composition
 
 from test_construct import PRECONDITION_ERRORS
@@ -88,7 +88,7 @@ def test_gen_and_solve_text_is_pinned(capsys, monkeypatch):
         assert main(["solve", "-", "--root", root]) == 0
         pairs.append(capsys.readouterr().out)
     assert _sha256("".join(pairs)) == (
-        "7f10028e3a977a5a1d041dc9cc7ade692431aa1e767fd3ced88c7e4f68671d4e"
+        "cf59790e6c23126db9380c6a60ff4edd7dd5cf07fe052b9d88dc5df306d2c5c6"
     )
 
 
@@ -299,6 +299,33 @@ def test_solve_materialize_only_for_dot(tmp_path, capsys):
     assert out == ""
     assert "over the limit of 2000000" in err
     assert not dot.exists()
+
+
+@pytest.mark.parametrize(
+    "command, text, root",
+    [
+        ("solve", SPEC_C3_K2BAR, "1.1"),
+        ("decide-sc", SPEC_C3_K2BAR, "1.1"),
+        ("oracle", '{"n": 2, "arcs": [[0, 1], [1, 0]]}', "0"),
+    ],
+    ids=["solve", "decide-sc", "oracle"],
+)
+def test_dot_write_failure_prints_nothing(command, text, root, tmp_path, capsys):
+    p = tmp_path / "input.json"
+    p.write_text(text)
+    dot = tmp_path / "missing" / "out.dot"
+    assert main([command, str(p), "--root", root, "--dot", str(dot)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: [Errno 2]") and str(dot) in err
+
+
+def test_main_builds_the_parser_once(capsys):
+    build_parser.cache_clear()
+    for _ in range(2):
+        assert main(["gen", "strong", "--t", "3"]) == 0
+    assert build_parser.cache_info().misses == 1
+    assert build_parser.cache_info().hits == 1
 
 
 def test_gen_commands_deterministic(capsys):

@@ -17,7 +17,11 @@ from goodpairs import (
     verify_good_pair,
 )
 
-from bruteforce import labeled_tournaments
+from bruteforce import (
+    labeled_tournaments,
+    reference_branching_problems,
+    strong_labeled_digraphs,
+)
 
 
 def bv(b: int, l: int) -> BlobVertex:
@@ -138,7 +142,9 @@ class TestAttachEarGadget:
         # the chord (2, 1) is a single-arc ear; the cycle through blob 1
         # is still the 3-cycle
         outer = DiGraph(3, [(0, 1), (1, 2), (2, 0), (2, 1)])
-        assert skeleton_good_pair(outer, 1) == skeleton_good_pair(c3, 1)
+        assert [a.tolist() for a in skeleton_good_pair(outer, 1)] == [
+            a.tolist() for a in skeleton_good_pair(c3, 1)
+        ]
 
     def test_longer_ear_verifies(self, c3):
         # ear (0, 3, 4, 1) with two internal blobs
@@ -163,8 +169,8 @@ class TestSkeletonGoodPair:
     def test_plain_cycle_equals_seed_pair(self, c3):
         out_parent, in_next = skeleton_good_pair(c3, 1)
         # layer-1 vertices in cycle order, then layer-2 vertices
-        assert out_parent == [-1, 4, 0, 1, 2, 3]
-        assert in_next == [-1, 2, 5, 4, 0, 0]
+        assert out_parent.tolist() == [-1, 4, 0, 1, 2, 3]
+        assert in_next.tolist() == [-1, 2, 5, 4, 0, 0]
 
     def test_cycle_plus_detour(self):
         outer = DiGraph(4, [(0, 1), (1, 2), (2, 0), (1, 3), (3, 0)])
@@ -177,7 +183,7 @@ class TestSkeletonGoodPair:
             out_parent, in_next = skeleton_good_pair(bior_k3, root_blob)
             root = 2 * (root_blob - 1)
             assert out_parent[root] == in_next[root] == -1
-            assert out_parent.count(-1) == in_next.count(-1) == 1
+            assert out_parent.tolist().count(-1) == in_next.tolist().count(-1) == 1
             verify_skeleton_as_pair(bior_k3, root_blob)
 
     def test_not_strong_rejected(self):
@@ -186,9 +192,11 @@ class TestSkeletonGoodPair:
 
 
 # 0 and 1 form a 2-cycle and 2 is only entered: at blob 1 the shortest cycle
-# exists and the ear walk finds the outer not strong; at blob 3 there is no
+# exists and the backward search from it misses blob 3; at blob 3 there is no
 # cycle at all.
 HALF_STRONG = DiGraph(3, [(0, 1), (1, 0), (1, 2)])
+# The mirror image: 2 is only left, so the forward search misses blob 3.
+UNREACHED = DiGraph(3, [(0, 1), (1, 0), (2, 0)])
 
 PRECONDITION_ERRORS = [
     (CompositionSpec(HALF_STRONG, [DiGraph(2)] * 3), "1.1", "outer digraph is not strong"),
@@ -204,6 +212,7 @@ PRECONDITION_ERRORS = [
         "1.1",
         "outer digraph has 1 vertex; at least 2 required",
     ),
+    (CompositionSpec(UNREACHED, [DiGraph(2)] * 3), "1.1", "outer digraph is not strong"),
 ]
 
 
@@ -213,6 +222,37 @@ def test_precondition_errors_are_pinned(spec, root, message):
     with pytest.raises(ValueError) as exc:
         construct_good_pair(spec, bv(blob, layer))
     assert str(exc.value) == message
+
+
+def test_skeleton_on_every_small_strong_outer_against_reference():
+    """Every strong labeled outer on 2-4 vertices, with blobs all of size 2
+    and with blobs alternating 2 and 3, at every root: the skeleton extended
+    to the full blobs, without the library's own verification, gives two
+    trees that the brute-force branching check accepts on the materialized
+    composition and that share no arc."""
+    outers = roots = 0
+    failures = []
+    for t in (2, 3, 4):
+        for outer in strong_labeled_digraphs(t):
+            outers += 1
+            for sizes in ([2] * t, [2 + i % 2 for i in range(t)]):
+                spec = CompositionSpec(outer, [DiGraph(k) for k in sizes])
+                q = materialize(spec)
+                for r in range(q.vertex_count):
+                    root = spec.blob_vertex(r)
+                    pair = extend_layers(skeleton_good_pair(outer, root.blob), spec, root)
+                    out_b, in_b = pair.out_branching, pair.in_branching
+                    problems = reference_branching_problems(q, out_b)
+                    problems += reference_branching_problems(q, in_b)
+                    if out_b.arcs & in_b.arcs:
+                        problems += ("shared arc",)
+                    if not pair.root == out_b.root == in_b.root == r:
+                        problems += ("wrong root",)
+                    if problems:
+                        failures.append((sorted(outer.arcs), sizes, r, problems))
+                    roots += 1
+    assert (outers, roots) == (1625, 29151)
+    assert not failures, failures[:3]
 
 
 class TestExtendLayers:
