@@ -33,8 +33,9 @@ print(f"composition: t={spec.blob_count}, N={spec.total_vertices}, "
 
 # Stage 1: a cycle through the root's blob seeds the construction.
 root = BlobVertex(2, 3)  # layer 3 of blob 2: an "extra" layer, why not
-start = cycle_through(outer, root.blob - 1)
-print(f"starting cycle through blob {root.blob}: {start.vertices}")
+start = cycle_through(outer, root.blob - 1)  # over 0-based outer vertices
+print(f"starting cycle through blob {root.blob}: "
+      f"{tuple(b + 1 for b in start.vertices)}")
 
 # Stage 2: the skeleton pair spans layers 1-2 of every blob.
 # Skeleton vertex 2*b + k is layer k+1 of outer vertex b; each tree is one

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Collection, Iterable, Literal
+from typing import Collection, Iterable, Literal, Sequence
 
 import numpy as np
 
@@ -54,6 +54,15 @@ def _sorted_arc_arrays(arcs: Collection[Arc]) -> tuple[np.ndarray, np.ndarray]:
     return tails[order], heads[order]
 
 
+def _csr(n: int, keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(indptr, values)`` for arcs grouped by ascending ``keys``."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=n), out=indptr[1:])
+    values = np.asarray(values, dtype=np.int64)
+    indptr.flags.writeable = values.flags.writeable = False
+    return indptr, values
+
+
 @dataclass(frozen=True, eq=False, repr=False)
 class DiGraph:
     """A simple directed graph on vertices ``0 .. vertex_count - 1``.
@@ -63,7 +72,10 @@ class DiGraph:
     ``heads``, read-only int arrays sorted by (tail, head), int64 unless some
     id does not fit (then dtype object, exact).  ``DiGraph(n, arcs)`` starts
     from the set; `from_sorted_arrays` starts from the arrays, which is how
-    the parsers build digraphs.  Digraphs compare by vertex count and arcs.
+    the parsers build digraphs.  The neighbour lists are derived on first
+    use too, as tuples (`out_adj`, `in_adj`) for the Python loops and as
+    CSR arrays (`out_csr`, `in_csr`) for searches of large digraphs.
+    Digraphs compare by vertex count and arcs.
     """
 
     vertex_count: int
@@ -138,6 +150,27 @@ class DiGraph:
                 adj[v].append(u)
         return tuple(map(tuple, adj))
 
+    @cached_property
+    def out_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Out-neighbour lists as read-only int64 ``(indptr, neighbours)``:
+        v's out-neighbours, ascending, are ``neighbours[indptr[v]:indptr[v+1]]``."""
+        return _csr(self.vertex_count, self.tails, self.heads)
+
+    @cached_property
+    def in_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """In-neighbour lists in the form of `out_csr`: the arcs in order of
+        head by one stable argsort, so each list keeps its tails ascending."""
+        order = np.argsort(self.heads, kind="stable")
+        return _csr(self.vertex_count, self.heads[order], self.tails[order])
+
+    def out_neighbours(self, v: int) -> Sequence[int]:
+        """v's out-neighbours, ascending, read from the lists that
+        `bfs_pointers` searches at this vertex count."""
+        if self.vertex_count < CSR_SEARCH_MIN_VERTICES:
+            return self.out_adj[v]
+        indptr, neighbours = self.out_csr
+        return neighbours[indptr[v] : indptr[v + 1]].tolist()
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DiGraph):
             return NotImplemented
@@ -177,20 +210,50 @@ def induced_subgraph(d: DiGraph, kept: Iterable[int]) -> DiGraph:
     return DiGraph(len(kept_sorted), arcs)
 
 
-def bfs_pointers(adj: tuple[tuple[int, ...], ...], sources: Iterable[int]) -> list[int]:
-    """Breadth-first search over ``adj`` from ``sources``, taken in order.
+# Vertex count from which `bfs_pointers` runs its numpy engine over the
+# CSR; below it, the FIFO loop over the tuple adjacency.  Chosen from the
+# measured crossover of the two engines on sparse and semicomplete digraphs
+# (CHANGES.md), not from any workload's size.
+CSR_SEARCH_MIN_VERTICES = 4096
+
+
+def bfs_pointers(
+    d: DiGraph, sources: Iterable[int], reverse: bool = False, target: int = -1
+) -> Sequence[int]:
+    """Breadth-first search of ``d`` from ``sources``, taken in order, along
+    out-arcs, or along in-arcs with ``reverse``.
 
     Returns one pointer per vertex: a source points at itself, any other
     reached vertex at the vertex it was first reached from, and a vertex
-    never reached holds -1.  Neighbours are read in stored order, and the
-    search stops as soon as every vertex is reached.
+    never reached holds -1.  Neighbours are read in ascending order, and the
+    search stops as soon as every vertex is reached, or ``target`` (when not
+    -1) is.
+
+    Two engines give the same pointers.  Below `CSR_SEARCH_MIN_VERTICES`
+    vertices, a FIFO loop reads the tuple lists `out_adj`/`in_adj` and
+    returns a list.  A small search then costs a few microseconds, less than
+    numpy's fixed cost per call, and on a dense digraph it stops after a few
+    lists.  From there up, `_csr_pointers` reads `out_csr`/`in_csr` with
+    whole-array steps and returns an int64 array, so a large digraph never
+    builds its tuples.
     """
+    if d.vertex_count < CSR_SEARCH_MIN_VERTICES:
+        return _fifo_pointers(d.in_adj if reverse else d.out_adj, sources, target)
+    return _csr_pointers(d.in_csr if reverse else d.out_csr, sources, target)
+
+
+def _fifo_pointers(
+    adj: Sequence[Sequence[int]], sources: Iterable[int], target: int = -1
+) -> list[int]:
+    """`bfs_pointers` by a FIFO queue over the neighbour lists ``adj``."""
     pointer = [-1] * len(adj)
     queue = []
     for s in sources:
         if pointer[s] == -1:
             pointer[s] = s
             queue.append(s)
+    if target >= 0 and pointer[target] != -1:
+        return pointer
     left = len(adj) - len(queue)
     for u in queue:  # the loop also reads what it appends: a FIFO queue
         if not left:
@@ -198,8 +261,63 @@ def bfs_pointers(adj: tuple[tuple[int, ...], ...], sources: Iterable[int]) -> li
         for w in adj[u]:
             if pointer[w] == -1:
                 pointer[w] = u
+                if w == target:
+                    return pointer
                 queue.append(w)
                 left -= 1
+    return pointer
+
+
+def _csr_pointers(
+    csr: tuple[np.ndarray, np.ndarray], sources: Iterable[int], target: int = -1
+) -> np.ndarray:
+    """`bfs_pointers` over the CSR ``(indptr, neighbours)``: the same FIFO
+    queue, served a run of vertices per whole-array step.
+
+    A step gathers the arcs of the queue's first vertices in queue order,
+    drops heads already reached, and keeps each new head's first occurrence,
+    found by ``minimum.at`` over positions (a stable sort took ten times as
+    long).  The new heads join the queue's end in the order the FIFO loop
+    would append them.  A step takes at most n arcs, about a level of a
+    sparse digraph; so on a dense one the search stops after a few lists,
+    as the loop does, instead of gathering a level of about n^2 / 4 arcs.
+    """
+    indptr, neighbours = csr
+    n = len(indptr) - 1
+    pointer = np.full(n, -1, dtype=np.int64)
+    first_at = np.empty(n, dtype=np.int64)
+    queue = np.fromiter(sources, dtype=np.int64)
+    _, first = np.unique(queue, return_index=True)
+    queue = queue[np.sort(first)]
+    pointer[queue] = queue
+    if target >= 0 and pointer[target] != -1:
+        return pointer
+    left = n - len(queue)
+    while left and len(queue):
+        start = indptr[queue]
+        count = indptr[queue + 1] - start
+        ends = np.cumsum(count)
+        k = max(int(np.searchsorted(ends, n, side="right")), 1)
+        count, ends = count[:k], ends[:k]
+        # Arc j of the i-th vertex taken sits at start[i] + j.
+        arcs = np.repeat(start[:k] - (ends - count), count) + np.arange(ends[-1])
+        heads = neighbours[arcs]
+        tails = np.repeat(queue[:k], count)
+        fresh = pointer[heads] == -1
+        heads, tails = heads[fresh], tails[fresh]
+        position = np.arange(len(heads))
+        first_at[heads] = len(heads)
+        np.minimum.at(first_at, heads, position)
+        first = np.flatnonzero(first_at[heads] == position)
+        new, tails = heads[first], tails[first]
+        hit = np.flatnonzero(new == target)  # none when target is -1
+        if len(hit):
+            stop = hit[0] + 1
+            pointer[new[:stop]] = tails[:stop]
+            return pointer
+        pointer[new] = tails
+        left -= len(new)
+        queue = np.concatenate((queue[k:], new))
     return pointer
 
 
@@ -272,13 +390,17 @@ def strong_components(d: DiGraph) -> tuple[list[frozenset[int]], DiGraph]:
 
 
 def is_strong(d: DiGraph) -> bool:
-    """True iff the digraph has at most one strong component."""
+    """True iff the digraph has at most one strong component.
+
+    Cheaper than Tarjan: two `bfs_pointers` searches check that vertex 0
+    reaches every vertex and every vertex reaches it, over the CSR on a
+    large digraph, so no tuple adjacency is built there.
+    """
     if d.vertex_count <= 1:
         return True
-    # Cheaper than full Tarjan: mutual reachability from vertex 0.
-    if -1 in bfs_pointers(d.out_adj, (0,)):
+    if -1 in bfs_pointers(d, (0,)):
         return False
-    return -1 not in bfs_pointers(d.in_adj, (0,))
+    return -1 not in bfs_pointers(d, (0,), reverse=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -365,26 +487,26 @@ def find_out_branching(d: DiGraph, r: int) -> Branching | None:
     reached it.
     """
     d.check_vertex(r, "root")
-    return _bfs_tree(d.out_adj, r, "out")
+    return _bfs_tree(d, r, "out")
 
 
 def find_in_branching(d: DiGraph, r: int) -> Branching | None:
     """Spanning in-branching rooted at ``r``; mirror of `find_out_branching`
     run over reversed arcs."""
     d.check_vertex(r, "root")
-    return _bfs_tree(d.in_adj, r, "in")
+    return _bfs_tree(d, r, "in")
 
 
-def _bfs_tree(
-    adj: tuple[tuple[int, ...], ...], r: int, kind: BranchingKind
-) -> Branching | None:
-    """Breadth-first tree from ``r`` over ``adj``, or None if it does not
-    span; each vertex points at the vertex it was first reached from."""
-    pointer = bfs_pointers(adj, (r,))
+def _bfs_tree(d: DiGraph, r: int, kind: BranchingKind) -> Branching | None:
+    """Breadth-first tree from ``r`` along the arcs of ``kind``, or None if
+    it does not span; each vertex points at the vertex it was first reached
+    from."""
+    pointer = bfs_pointers(d, (r,), reverse=kind == "in")
     if -1 in pointer:
         return None
+    pointer = np.array(pointer, dtype=np.int64)
     pointer[r] = -1
-    return Branching.from_pointers(r, kind, np.array(pointer, dtype=np.int64))
+    return Branching.from_pointers(r, kind, pointer)
 
 
 def verify_branching(d, b: Branching) -> CheckReport:

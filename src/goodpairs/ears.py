@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Literal
 
-from .digraph import Arc, CheckReport, DiGraph
+from .digraph import Arc, CheckReport, DiGraph, bfs_pointers
 
 EarKind = Literal["initial_cycle", "path_ear", "cycle_ear"]
 
@@ -61,45 +61,29 @@ class EarDecomposition:
 def cycle_through(d: DiGraph, v: int) -> Ear:
     """Shortest cycle through ``v`` in a strong digraph, as the initial ear.
 
-    Runs a BFS from each out-neighbour of ``v`` back to ``v``, keeping the
-    first shortest cycle found with out-neighbours tried in ascending order.
+    Runs `bfs_pointers` from each out-neighbour of ``v``, in ascending
+    order, until it reaches ``v``, and keeps the first shortest cycle found.
+    A large digraph is searched over its CSR, and its tuple adjacency is
+    never built.
     """
     d.check_vertex(v)
     if d.vertex_count < 2:
         raise ValueError("need at least two vertices to have a cycle")
     best: list[int] | None = None
-    for w in d.out_adj[v]:
+    for w in d.out_neighbours(v):
         if best is not None and len(best) <= 3:
             break  # a 2-cycle cannot be beaten
-        path = _bfs_path(d, w, v)
-        if path is not None and (best is None or len(path) + 1 < len(best)):
-            best = [v, *path]
+        pointer = bfs_pointers(d, (w,), target=v)
+        if pointer[v] == -1:
+            continue
+        path = [v]  # v back to w along the pointers, then reversed
+        while path[-1] != w:
+            path.append(int(pointer[path[-1]]))
+        if best is None or len(path) + 1 < len(best):
+            best = [v, *reversed(path)]
     if best is None:
         raise ValueError(f"no cycle through vertex {v}: digraph is not strong")
     return Ear(best, "initial_cycle")
-
-
-def _bfs_path(d: DiGraph, source: int, target: int) -> list[int] | None:
-    """Shortest source -> target path (vertex list), neighbours ascending."""
-    if source == target:
-        return [source]
-    parent = {source: -1}
-    queue = deque([source])
-    adj = d.out_adj
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if w not in parent:
-                parent[w] = u
-                if w == target:
-                    path = [w]
-                    while u != -1:
-                        path.append(u)
-                        u = parent[u]
-                    path.reverse()
-                    return path
-                queue.append(w)
-    return None
 
 
 def ear_walks(d: DiGraph, start: Ear) -> Iterator[list[int]]:

@@ -47,7 +47,7 @@ def enumerate_out_branchings(
     if limit is not None and limit <= 0:
         return
     n = d.vertex_count
-    if -1 in bfs_pointers(d.out_adj, (r,)):
+    if -1 in bfs_pointers(d, (r,)):
         return  # some vertex unreachable: no spanning out-branching exists
     vertices = [v for v in range(n) if v != r]
     in_adj = d.in_adj

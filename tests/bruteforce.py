@@ -152,6 +152,46 @@ def mutually_reachable(d: DiGraph, x: int, y: int) -> bool:
     )
 
 
+def shortest_cycle_through(d: DiGraph, v: int) -> tuple[int, ...] | None:
+    """The cycle `goodpairs.cycle_through` should return, as its vertex walk
+    v, ..., v, or None when v is on no cycle: a dict-based BFS from each
+    out-neighbour of v in ascending order back to v, over lists read from
+    the sorted arc set, keeping the first shortest."""
+    adj: dict[int, list[int]] = {}
+    for x, y in sorted(d.arcs):
+        adj.setdefault(x, []).append(y)
+    best = None
+    for w in adj.get(v, ()):
+        if best is not None and len(best) <= 3:
+            break  # a 2-cycle cannot be beaten
+        parent = {w: -1}
+        queue = deque([w])
+        path = None
+        while queue and path is None:
+            u = queue.popleft()
+            for x in adj.get(u, ()):
+                if x not in parent:
+                    parent[x] = u
+                    if x == v:
+                        path = [x]
+                        while u != -1:
+                            path.append(u)
+                            u = parent[u]
+                        path.reverse()
+                        break
+                    queue.append(x)
+        if path is not None and (best is None or len(path) + 1 < len(best)):
+            best = (v, *path)
+    return best
+
+
+def labeled_digraphs(n: int):
+    """Yield every labeled digraph on n vertices, strong or not."""
+    pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
+    for mask in range(1 << len(pairs)):
+        yield DiGraph(n, [a for i, a in enumerate(pairs) if mask >> i & 1])
+
+
 def labeled_tournaments(n: int):
     """Yield every labeled tournament on n vertices."""
     pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]

@@ -11,11 +11,13 @@ from goodpairs import (
     construct_good_pair,
     decide_good_pair_exact,
     extend_layers,
+    gen_strong_digraph,
     is_strong,
     materialize,
     skeleton_good_pair,
     verify_good_pair,
 )
+from goodpairs.digraph import CSR_SEARCH_MIN_VERTICES
 
 from bruteforce import (
     labeled_tournaments,
@@ -389,6 +391,15 @@ class TestConstructGoodPair:
                             assert verify_good_pair(view, pair).ok
                             checked += 1
         assert checked > 5000
+
+    def test_large_outer_builds_no_tuple_adjacency(self):
+        t = CSR_SEARCH_MIN_VERTICES + 3
+        spec = CompositionSpec(gen_strong_digraph(t, t, seed=4), (DiGraph(2),) * t)
+        for root in (bv(1, 1), bv(t, 2)):
+            pair = construct_good_pair(spec, root)
+            assert verify_good_pair(spec.implicit_view(), pair).ok
+        assert "out_adj" not in spec.outer.__dict__
+        assert "in_adj" not in spec.outer.__dict__
 
     def test_unverified_pair_raises(self, c3, monkeypatch):
         import goodpairs.construct as construct_module

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -9,14 +10,22 @@ from goodpairs import (
     GoodPair,
     find_in_branching,
     find_out_branching,
+    gen_semicomplete,
+    gen_strong_digraph,
     induced_subgraph,
     is_strong,
     strong_components,
     verify_branching,
     verify_good_pair,
 )
+from goodpairs.digraph import (
+    CSR_SEARCH_MIN_VERTICES,
+    _fifo_pointers,
+    _csr_pointers,
+    bfs_pointers,
+)
 
-from bruteforce import mutually_reachable, reachable_from
+from bruteforce import labeled_digraphs, mutually_reachable, reachable_from
 from strategies import digraphs
 
 
@@ -77,6 +86,103 @@ class TestStrongComponents:
         for x in range(d.vertex_count):
             for y in range(x + 1, d.vertex_count):
                 assert (index[x] == index[y]) == mutually_reachable(d, x, y)
+
+
+def engine_pointers(d: DiGraph, sources, reverse: bool = False, target: int = -1):
+    """The pointers of both `bfs_pointers` engines, as two lists."""
+    adj, csr = (d.in_adj, d.in_csr) if reverse else (d.out_adj, d.out_csr)
+    return (
+        _fifo_pointers(adj, sources, target),
+        _csr_pointers(csr, sources, target).tolist(),
+    )
+
+
+def seeded_outers():
+    for seed in range(12):
+        n = 20 + 25 * seed
+        yield gen_strong_digraph(n, (seed % 4) * n, seed)
+        yield gen_semicomplete(n, 0.25 * (seed % 3), seed)
+
+
+class TestBfsPointers:
+    def test_csr_holds_the_sorted_lists(self):
+        d = DiGraph(4, [(0, 3), (0, 1), (0, 2), (3, 0), (2, 1)])
+        for csr, adj in ((d.out_csr, d.out_adj), (d.in_csr, d.in_adj)):
+            indptr, neighbours = csr
+            assert neighbours.dtype == indptr.dtype == np.int64
+            lists = [neighbours[indptr[v] : indptr[v + 1]].tolist() for v in range(4)]
+            assert lists == [list(a) for a in adj]
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_engines_agree_on_every_small_digraph(self, n):
+        """Strong or not, so that unreached vertices hold -1."""
+        for d in labeled_digraphs(n):
+            for s in range(n):
+                for reverse in (False, True):
+                    fifo, csr = engine_pointers(d, (s,), reverse)
+                    assert fifo == csr, (d, s, reverse)
+
+    def test_engines_agree_on_seeded_outers(self):
+        rng = np.random.default_rng(5)
+        for d in seeded_outers():
+            n = d.vertex_count
+            for size in (1, 3, 8):
+                sources = rng.integers(0, n, size).tolist()  # repeats included
+                for reverse in (False, True):
+                    fifo, csr = engine_pointers(d, sources, reverse)
+                    assert fifo == csr, (d.vertex_count, sources, reverse)
+
+    def test_repeated_sources_count_once_in_first_order(self):
+        d = DiGraph(5, [(0, 2), (1, 2), (2, 3), (1, 4)])
+        for pointers in engine_pointers(d, (1, 0, 1, 0)):
+            assert pointers == [0, 1, 1, 2, 1]
+        for pointers in engine_pointers(d, (0, 1, 0)):
+            assert pointers == [0, 1, 0, 2, 1]
+
+    def test_target_stops_both_engines_at_the_same_pointers(self):
+        def path(pointer, target):
+            walk = [target]
+            while pointer[walk[-1]] != walk[-1]:
+                walk.append(pointer[walk[-1]])
+            return walk
+
+        cases = [
+            (d, s, v)
+            for n in range(1, 4)
+            for d in labeled_digraphs(n)
+            for s in range(n)
+            for v in range(n)
+        ]
+        rng = np.random.default_rng(6)
+        for d in seeded_outers():
+            n = d.vertex_count
+            cases += [(d, int(s), int(v)) for s, v in rng.integers(0, n, (4, 2))]
+        for d, s, v in cases:
+            fifo, csr = engine_pointers(d, (s,), target=v)
+            assert fifo == csr, (d.vertex_count, s, v)
+            if fifo[v] != -1:
+                assert path(fifo, v) == path(csr, v)
+                assert path(fifo, v)[-1] == s
+
+    def test_engine_is_chosen_by_vertex_count(self):
+        n = CSR_SEARCH_MIN_VERTICES
+        for size, small in ((n - 1, True), (n, False)):
+            d = gen_strong_digraph(size, 0, 1)  # the cycle 0 -> 1 -> ... -> 0
+            pointer = bfs_pointers(d, (0,), reverse=True)
+            assert list(pointer) == [0, *range(2, size), 0]
+            assert isinstance(pointer, list) == small
+            assert ("in_adj" in d.__dict__) == small
+            assert ("in_csr" in d.__dict__) != small
+
+    def test_large_strong_check_builds_no_tuples(self):
+        n = CSR_SEARCH_MIN_VERTICES + 7
+        d = gen_strong_digraph(n, 50, 2)
+        cycle = gen_strong_digraph(n, 0, 2)
+        path = DiGraph.from_sorted_arrays(n, cycle.tails[:-1], cycle.heads[:-1])
+        assert is_strong(d) and is_strong(cycle)
+        assert not is_strong(path)  # the arc (n - 1, 0) is gone: 0 is a source
+        for g in (d, cycle, path):
+            assert "out_adj" not in g.__dict__ and "in_adj" not in g.__dict__
 
 
 class TestIsStrong:

@@ -12,7 +12,10 @@ from goodpairs import (
     gen_strong_digraph,
     verify_ear_decomposition,
 )
+from goodpairs.digraph import CSR_SEARCH_MIN_VERTICES
 from goodpairs.ears import ear_walks
+
+from bruteforce import shortest_cycle_through
 
 
 class TestCycleThrough:
@@ -37,6 +40,22 @@ class TestCycleThrough:
     def test_too_small(self):
         with pytest.raises(ValueError, match="two vertices"):
             cycle_through(DiGraph(1), 0)
+
+    def test_small_digraphs_match_reference(self):
+        digraphs = [gen_strong_digraph(3 + s, s * (s % 4), seed=s) for s in range(40)]
+        digraphs += [gen_composition(8, (1, 1), 0.0, "semicomplete", s).outer for s in range(10)]
+        for d in digraphs:
+            for v in range(d.vertex_count):
+                assert cycle_through(d, v).vertices == shortest_cycle_through(d, v)
+
+    def test_large_digraphs_match_reference(self):
+        """Above the constant, searched over the CSR with no tuples built."""
+        n = CSR_SEARCH_MIN_VERTICES
+        for seed, extra in ((1, 0), (2, 40), (3, n)):
+            d = gen_strong_digraph(n + 50 * seed, extra, seed)
+            for v in (0, 7 * seed, d.vertex_count - 1):
+                assert cycle_through(d, v).vertices == shortest_cycle_through(d, v)
+            assert "out_adj" not in d.__dict__ and "in_adj" not in d.__dict__
 
 
 class TestEarDecompose:
