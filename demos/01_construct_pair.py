@@ -35,7 +35,7 @@ print(f"composition: t={spec.blob_count}, N={spec.total_vertices}, "
 root = BlobVertex(2, 3)  # layer 3 of blob 2: an "extra" layer, why not
 start = cycle_through(outer, root.blob - 1)  # over 0-based outer vertices
 print(f"starting cycle through blob {root.blob}: "
-      f"{tuple(b + 1 for b in start.vertices)}")
+      f"{tuple(b + 1 for b in start)}")
 
 # Stage 2: the skeleton pair spans layers 1-2 of every blob.
 # Skeleton vertex 2*b + k is layer k+1 of outer vertex b; each tree is one
@@ -48,7 +48,7 @@ print(f"skeleton: {sum(p >= 0 for p in out_parent)} out-arcs, "
 # Every blob off the cycle hangs off it by two breadth-first forests: the
 # out-tree enters its layers from its forest parent, layer for layer, and
 # the in-tree leaves them for its forest successor, swapping layers.
-on_cycle = set(start.vertices)
+on_cycle = set(start)
 for b in range(outer.vertex_count):
     if b not in on_cycle:
         parent, successor = out_parent[2 * b] // 2, in_next[2 * b] // 2

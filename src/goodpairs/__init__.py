@@ -22,6 +22,7 @@ from .digraph import (
     Branching,
     DiGraph,
     GoodPair,
+    cycle_through,
     find_in_branching,
     find_out_branching,
     induced_subgraph,
@@ -29,13 +30,6 @@ from .digraph import (
     strong_components,
     verify_branching,
     verify_good_pair,
-)
-from .ears import (
-    Ear,
-    EarDecomposition,
-    cycle_through,
-    ear_decompose,
-    verify_ear_decomposition,
 )
 from .generate import gen_composition, gen_semicomplete, gen_strong_digraph
 from .oracle import Decision, decide_good_pair_exact, enumerate_out_branchings
@@ -53,8 +47,6 @@ __all__ = [
     "CompositionSpec",
     "Decision",
     "DiGraph",
-    "Ear",
-    "EarDecomposition",
     "GoodPair",
     "closed_neighborhood_restriction",
     "construct_good_pair",
@@ -62,7 +54,6 @@ __all__ = [
     "decide_good_pair_exact",
     "decide_root_adjacent",
     "decide_semicomplete",
-    "ear_decompose",
     "enumerate_out_branchings",
     "extend_layers",
     "find_in_branching",
@@ -80,7 +71,6 @@ __all__ = [
     "strong_components",
     "validate_for_construction",
     "verify_branching",
-    "verify_ear_decomposition",
     "verify_good_pair",
 ]
 

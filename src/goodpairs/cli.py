@@ -26,7 +26,6 @@ from . import io as gio
 from .composition import BlobVertex, materialize
 from .construct import construct_good_pair
 from .digraph import verify_good_pair
-from .ears import cycle_through, ear_decompose
 from .generate import gen_composition, gen_semicomplete, gen_strong_digraph
 from .oracle import DEFAULT_VERTEX_CAP, decide_good_pair_exact, enumerate_out_branchings
 from .semicomplete import closed_neighborhood_restriction, decide_semicomplete, shrink_good_pair
@@ -147,13 +146,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_FOUND
 
 
-def _cmd_ears(args: argparse.Namespace) -> int:
-    d = gio.parse_digraph(_read(args.digraph))
-    start = cycle_through(d, args.vertex)
-    print(gio.serialize_ear_decomposition(ear_decompose(d, start)))
-    return EXIT_FOUND
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -230,11 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--outer", choices=("strong", "semicomplete"), default="strong")
     g.add_argument("--seed", type=int, default=0)
     g.set_defaults(func=_cmd_gen)
-
-    p = sub.add_parser("ears", help="greedy ear decomposition of a strong digraph")
-    p.add_argument("digraph")
-    p.add_argument("--vertex", type=int, default=0, help="vertex the starting cycle runs through")
-    p.set_defaults(func=_cmd_ears)
 
     return parser
 

@@ -25,12 +25,18 @@ from __future__ import annotations
 import numpy as np
 
 from .composition import BlobVertex, CompositionSpec, validate_for_construction
-from .digraph import Branching, DiGraph, GoodPair, bfs_pointers, require_good_pair
-from .ears import cycle_through
+from .digraph import (
+    Branching,
+    DiGraph,
+    GoodPair,
+    bfs_pointers,
+    cycle_through,
+    require_good_pair,
+)
 
-# ear_decompose is not called here; it stays importable from this module
-# only because perfbench/spans.py looks it up here by name (--trace 1).
-from .ears import ear_decompose  # noqa: F401
+# A placeholder that only perfbench/spans.py (--trace 1) looks up here, for
+# its ears.decompose span; it goes when the benchmark retires that span.
+ear_decompose = None
 
 Skeleton = tuple[np.ndarray, np.ndarray]
 
@@ -82,7 +88,7 @@ def skeleton_good_pair(outer: DiGraph, root_blob: int) -> Skeleton:
         raise ValueError(f"root blob {root_blob} out of range 1..{t}")
     if t < 2:
         raise ValueError("outer digraph must have at least 2 vertices")
-    cycle = cycle_through(outer, root_blob - 1).vertices[:-1]
+    cycle = cycle_through(outer, root_blob - 1)[:-1]
     p = np.asarray(bfs_pointers(outer, cycle), dtype=np.int64)
     s = np.asarray(bfs_pointers(outer, cycle, reverse=True), dtype=np.int64)
     if p.min() < 0 or s.min() < 0:

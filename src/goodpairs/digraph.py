@@ -321,6 +321,35 @@ def _csr_pointers(
     return pointer
 
 
+def cycle_through(d: DiGraph, v: int) -> tuple[int, ...]:
+    """Shortest cycle through ``v`` in a strong digraph, as the closed walk
+    ``(v, ..., v)``.
+
+    Runs `bfs_pointers` from each out-neighbour of ``v``, in ascending
+    order, until it reaches ``v``, and keeps the first shortest cycle found.
+    A large digraph is searched over its CSR, and its tuple adjacency is
+    never built.
+    """
+    d.check_vertex(v)
+    if d.vertex_count < 2:
+        raise ValueError("need at least two vertices to have a cycle")
+    best: list[int] | None = None
+    for w in d.out_neighbours(v):
+        if best is not None and len(best) <= 3:
+            break  # a 2-cycle cannot be beaten
+        pointer = bfs_pointers(d, (w,), target=v)
+        if pointer[v] == -1:
+            continue
+        path = [v]  # v back to w along the pointers, then reversed
+        while path[-1] != w:
+            path.append(int(pointer[path[-1]]))
+        if best is None or len(path) + 1 < len(best):
+            best = [v, *reversed(path)]
+    if best is None:
+        raise ValueError(f"no cycle through vertex {v}: digraph is not strong")
+    return tuple(best)
+
+
 def strong_components(d: DiGraph) -> tuple[list[frozenset[int]], DiGraph]:
     """Partition into strong components plus the condensation digraph.
 

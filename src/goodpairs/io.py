@@ -27,7 +27,6 @@ import numpy as np
 
 from .composition import CompositionSpec
 from .digraph import Arc, Branching, DiGraph, GoodPair
-from .ears import EarDecomposition
 
 # Attribute strings used by export_dot for the two branchings.
 OUT_ARC_ATTR = "color=blue"
@@ -274,16 +273,6 @@ def serialize_good_pair(gp: GoodPair) -> str:
     out_arcs = _arc_list_text(gp.out_branching.arcs_in_order())
     in_arcs = _arc_list_text(gp.in_branching.arcs_in_order())
     return f'{{"root": {gp.root}, "out_arcs": {out_arcs}, "in_arcs": {in_arcs}}}'
-
-
-def serialize_ear_decomposition(ed: EarDecomposition) -> str:
-    return json.dumps(
-        {
-            "ears": [
-                {"kind": ear.kind, "vertices": list(ear.vertices)} for ear in ed.ears
-            ]
-        }
-    )
 
 
 def export_dot(

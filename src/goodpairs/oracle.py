@@ -11,7 +11,14 @@ from typing import Iterator, Literal
 
 import numpy as np
 
-from .digraph import Branching, DiGraph, GoodPair, bfs_pointers, find_in_branching
+from .digraph import (
+    Branching,
+    DiGraph,
+    GoodPair,
+    bfs_pointers,
+    find_in_branching,
+    require_good_pair,
+)
 
 DEFAULT_VERTEX_CAP = 14
 
@@ -41,10 +48,13 @@ def enumerate_out_branchings(
     Each non-root vertex, in ascending order, picks its unique in-arc from
     its in-neighbours in ascending order; assignments that close a cycle are
     pruned as soon as the cycle's last vertex is assigned.  Enumeration
-    order is therefore deterministic.  Stops after ``limit`` branchings.
+    order is therefore deterministic.  Stops after ``limit`` branchings; a
+    negative ``limit`` raises ValueError.
     """
     d.check_vertex(r, "root")
-    if limit is not None and limit <= 0:
+    if limit is not None and limit < 0:
+        raise ValueError(f"branching limit {limit} is negative")
+    if limit == 0:
         return
     n = d.vertex_count
     if -1 in bfs_pointers(d, (r,)):
@@ -98,9 +108,12 @@ def decide_good_pair_exact(
     of the digraph must still let every vertex reach ``r``, which is a
     linear check and immediately yields the in-branching.  Exhaustion of
     the enumeration certifies absence.  Graphs above ``vertex_cap`` come
-    back undecided rather than running forever.
+    back undecided rather than running forever; a negative ``vertex_cap``
+    raises ValueError.  A found pair is verified before it is returned.
     """
     d.check_vertex(r, "root")
+    if vertex_cap < 0:
+        raise ValueError(f"exact-search cap {vertex_cap} is negative")
     if d.vertex_count > vertex_cap:
         return Decision(
             "undecided",
@@ -111,5 +124,6 @@ def decide_good_pair_exact(
         rest = DiGraph(d.vertex_count, d.arcs - out_b.arcs)
         in_b = find_in_branching(rest, r)
         if in_b is not None:
-            return Decision("found", pair=GoodPair(r, out_b, in_b))
+            pair = require_good_pair(d, GoodPair(r, out_b, in_b), "oracle pair")
+            return Decision("found", pair=pair)
     return Decision("absent")

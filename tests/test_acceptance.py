@@ -20,17 +20,14 @@ from goodpairs import (
     DiGraph,
     closed_neighborhood_restriction,
     construct_good_pair,
-    cycle_through,
     decide_good_pair_exact,
     decide_root_adjacent,
     decide_semicomplete,
-    ear_decompose,
     gen_composition,
     gen_strong_digraph,
     lift_good_pair,
     materialize,
     shrink_good_pair,
-    verify_ear_decomposition,
     verify_good_pair,
 )
 from goodpairs.io import serialize_good_pair
@@ -241,25 +238,6 @@ def test_c5_lift_and_shrink_round_trip():
         not lift_failures and not shrink_failures,
         f"{pairs_seen} pairs, {len(lift_failures)} lift failures, "
         f"{len(shrink_failures)} shrink failures",
-    )
-
-
-def test_c6_ear_machinery_on_200_strong_digraphs():
-    failures = []
-    for seed in range(200):
-        t = 2 + seed % 7
-        cap = t * (t - 1) - t
-        rng = np.random.Generator(np.random.PCG64(seed))
-        extra = int(rng.integers(0, min(cap, 2 * t) + 1))
-        d = gen_strong_digraph(t, extra, seed=seed)
-        for v in range(t):
-            ed = ear_decompose(d, cycle_through(d, v))
-            if not verify_ear_decomposition(d, ed).ok:
-                failures.append((seed, v))
-    report(
-        "C6 ear machinery",
-        not failures,
-        f"200 digraphs, all starting vertices, {len(failures)} failures",
     )
 
 

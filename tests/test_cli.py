@@ -222,6 +222,24 @@ def test_oracle_enumerate_with_limit(tmp_path, capsys):
     assert json.loads(lines[0]) == {"root": 0, "arcs": [[0, 1], [0, 2]]}
 
 
+def test_oracle_negative_kernel_cap_is_invalid_input(tmp_path, capsys):
+    p = tmp_path / "c3.json"
+    p.write_text(C3)
+    assert main(["oracle", str(p), "--root", "0", "--kernel-cap", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: exact-search cap -1 is negative" in captured.err
+
+
+def test_oracle_enumerate_negative_limit_is_invalid_input(tmp_path, capsys):
+    p = tmp_path / "c3.json"
+    p.write_text(C3)
+    assert main(["oracle", str(p), "--root", "0", "--enumerate", "--limit", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: branching limit -1 is negative" in captured.err
+
+
 def test_verify_rejects_tampered_pair(tmp_path, capsys):
     q = tmp_path / "q.json"
     q.write_text('{"n": 2, "arcs": [[0, 1], [1, 0]]}')
@@ -343,18 +361,13 @@ def test_gen_invalid_params(capsys):
     assert main(["gen", "strong", "--t", "4", "--extra-arcs", "12"]) == 2
 
 
-def test_ears_command(tmp_path, capsys):
+def test_ears_is_an_unknown_subcommand(tmp_path, capsys):
     p = tmp_path / "c3.json"
     p.write_text(C3)
-    assert main(["ears", str(p), "--vertex", "1"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["ears"][0] == {"kind": "initial_cycle", "vertices": [1, 2, 0, 1]}
-
-
-def test_ears_rejects_non_strong(tmp_path, capsys):
-    p = tmp_path / "path.json"
-    p.write_text('{"n": 3, "arcs": [[0, 1], [1, 2]]}')
-    assert main(["ears", str(p)]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["ears", str(p), "--vertex", "1"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'ears'" in capsys.readouterr().err
 
 
 def test_stdin_input(spec_file, capsys, monkeypatch):

@@ -8,8 +8,10 @@ from goodpairs import (
     Branching,
     DiGraph,
     GoodPair,
+    cycle_through,
     find_in_branching,
     find_out_branching,
+    gen_composition,
     gen_semicomplete,
     gen_strong_digraph,
     induced_subgraph,
@@ -25,7 +27,12 @@ from goodpairs.digraph import (
     bfs_pointers,
 )
 
-from bruteforce import labeled_digraphs, mutually_reachable, reachable_from
+from bruteforce import (
+    labeled_digraphs,
+    mutually_reachable,
+    reachable_from,
+    shortest_cycle_through,
+)
 from strategies import digraphs
 
 
@@ -183,6 +190,46 @@ class TestBfsPointers:
         assert not is_strong(path)  # the arc (n - 1, 0) is gone: 0 is a source
         for g in (d, cycle, path):
             assert "out_adj" not in g.__dict__ and "in_adj" not in g.__dict__
+
+
+class TestCycleThrough:
+    def test_unique_cycle(self, c3):
+        assert cycle_through(c3, 1) == (1, 2, 0, 1)
+
+    def test_two_cycle(self):
+        d = DiGraph(2, [(0, 1), (1, 0)])
+        assert cycle_through(d, 0) == (0, 1, 0)
+
+    def test_chord_gives_shorter_cycle(self):
+        d = DiGraph(3, [(0, 1), (1, 2), (2, 0), (0, 2)])
+        walk = cycle_through(d, 0)
+        assert walk == (0, 2, 0)
+        for a in zip(walk, walk[1:]):
+            assert a in d.arcs
+
+    def test_not_strong_raises(self):
+        with pytest.raises(ValueError, match="not strong"):
+            cycle_through(DiGraph(3, [(0, 1), (1, 2)]), 0)
+
+    def test_too_small(self):
+        with pytest.raises(ValueError, match="two vertices"):
+            cycle_through(DiGraph(1), 0)
+
+    def test_small_digraphs_match_reference(self):
+        digraphs = [gen_strong_digraph(3 + s, s * (s % 4), seed=s) for s in range(40)]
+        digraphs += [gen_composition(8, (1, 1), 0.0, "semicomplete", s).outer for s in range(10)]
+        for d in digraphs:
+            for v in range(d.vertex_count):
+                assert cycle_through(d, v) == shortest_cycle_through(d, v)
+
+    def test_large_digraphs_match_reference(self):
+        """Above the constant, searched over the CSR with no tuples built."""
+        n = CSR_SEARCH_MIN_VERTICES
+        for seed, extra in ((1, 0), (2, 40), (3, n)):
+            d = gen_strong_digraph(n + 50 * seed, extra, seed)
+            for v in (0, 7 * seed, d.vertex_count - 1):
+                assert cycle_through(d, v) == shortest_cycle_through(d, v)
+            assert "out_adj" not in d.__dict__ and "in_adj" not in d.__dict__
 
 
 class TestIsStrong:

@@ -13,8 +13,6 @@ from goodpairs import (
     DiGraph,
     GoodPair,
     construct_good_pair,
-    cycle_through,
-    ear_decompose,
     gen_composition,
     verify_good_pair,
 )
@@ -26,7 +24,6 @@ from goodpairs.io import (
     parse_good_pair,
     serialize_composition,
     serialize_digraph,
-    serialize_ear_decomposition,
     serialize_good_pair,
 )
 
@@ -355,11 +352,3 @@ class TestDot:
     def test_needs_something(self):
         with pytest.raises(ValueError):
             export_dot()
-
-
-def test_ear_decomposition_serialization(c3):
-    ed = ear_decompose(c3, cycle_through(c3, 0))
-    assert (
-        serialize_ear_decomposition(ed)
-        == '{"ears": [{"kind": "initial_cycle", "vertices": [0, 1, 2, 0]}]}'
-    )

@@ -3,7 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import goodpairs.oracle as oracle_module
 from goodpairs import (
+    Branching,
     DiGraph,
     decide_good_pair_exact,
     enumerate_out_branchings,
@@ -37,6 +39,9 @@ class TestEnumerate:
 
     def test_limit(self, bior_k3):
         assert len(list(enumerate_out_branchings(bior_k3, 0, limit=2))) == 2
+
+    def test_limit_zero_gives_empty_stream(self, bior_k3):
+        assert list(enumerate_out_branchings(bior_k3, 0, limit=0)) == []
 
     def test_single_vertex(self):
         bs = list(enumerate_out_branchings(DiGraph(1), 0))
@@ -111,6 +116,15 @@ class TestDecide:
         decision = decide_good_pair_exact(d, 0)
         assert decision.status == "undecided"
         assert "cap" in decision.reason
+
+    def test_found_pair_is_verified_before_it_is_returned(self, monkeypatch):
+        """An in-tree that is no in-branching (it is the out-tree's own arc)
+        raises rather than coming back as found."""
+        monkeypatch.setattr(
+            oracle_module, "find_in_branching", lambda d, r: Branching(r, "in", [(0, 1)])
+        )
+        with pytest.raises(ValueError, match="oracle pair does not verify"):
+            decide_good_pair_exact(DiGraph(2, [(0, 1), (1, 0)]), 0)
 
     def test_root_out_of_range(self, c3):
         with pytest.raises(ValueError):
