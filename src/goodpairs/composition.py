@@ -12,11 +12,12 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
+from operator import attrgetter
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .digraph import CheckReport, DiGraph, is_strong
+from .digraph import CheckReport, DiGraph, _members, is_strong
 
 
 class BlobVertex(NamedTuple):
@@ -48,9 +49,9 @@ class CompositionSpec:
             raise ValueError(
                 f"expected {outer.vertex_count} blob digraphs, got {len(blobs)}"
             )
-        for i, h in enumerate(blobs, start=1):
-            if h.vertex_count < 1:
-                raise ValueError(f"blob {i} must have at least one vertex")
+        if min(map(attrgetter("vertex_count"), blobs)) < 1:
+            i = next(i for i, h in enumerate(blobs, start=1) if h.vertex_count < 1)
+            raise ValueError(f"blob {i} must have at least one vertex")
         object.__setattr__(self, "outer", outer)
         object.__setattr__(self, "blobs", blobs)
 
@@ -147,20 +148,13 @@ class CompositionSpec:
     def arc_count(self) -> int:
         """Arc count of the materialized composition, from the size formula."""
         sizes = [h.vertex_count for h in self.blobs]
-        internal = sum(len(h.arcs) for h in self.blobs)
-        cross = sum(sizes[i] * sizes[p] for i, p in self.outer.arcs)
+        internal = sum(h.arc_count for h in self.blobs)
+        outer = zip(self.outer.tails.tolist(), self.outer.heads.tolist())
+        cross = sum(sizes[i] * sizes[p] for i, p in outer)
         return internal + cross
 
     def implicit_view(self) -> ImplicitCompositionView:
         return ImplicitCompositionView(self)
-
-
-def _members(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Mask of which ``keys`` occur in the sorted array ``sorted_keys``."""
-    if not len(sorted_keys):
-        return np.zeros(len(keys), dtype=bool)
-    pos = np.searchsorted(sorted_keys, keys)
-    return np.take(sorted_keys, pos, mode="clip", out=pos) == keys
 
 
 @dataclass(frozen=True)
@@ -205,18 +199,24 @@ def materialize(
             f"materialized composition would have {expected} arcs, "
             f"over the limit of {max_arcs}"
         )
-    offsets = spec.offsets
-    arcs: list[tuple[int, int]] = []
-    for i, h in enumerate(spec.blobs):
-        base = offsets[i]
-        arcs.extend((base + u, base + v) for u, v in h.arcs)
-    sizes = [h.vertex_count for h in spec.blobs]
-    for i, p in spec.outer.arcs:
-        bi, bp = offsets[i], offsets[p]
-        arcs.extend(
-            (bi + a, bp + b) for a in range(sizes[i]) for b in range(sizes[p])
-        )
-    return DiGraph(spec.total_vertices, arcs)
+    sizes = np.array([h.vertex_count for h in spec.blobs], dtype=np.int64)
+    offsets = np.array(spec.offsets[:-1], dtype=np.int64)
+    # Outer arc e = (i, p) gives the block of sizes[i] * sizes[p] arcs
+    # (offsets[i] + a, offsets[p] + b), numbered a * sizes[p] + b.
+    outer_tails, outer_heads = spec.outer.tails, spec.outer.heads
+    block = sizes[outer_tails] * sizes[outer_heads]
+    arc = np.arange(int(block.sum())) - np.repeat(np.cumsum(block) - block, block)
+    edge = np.repeat(np.arange(len(block)), block)
+    a, b = np.divmod(arc, sizes[outer_heads][edge])
+    tails = [offsets[outer_tails][edge] + a]
+    heads = [offsets[outer_heads][edge] + b]
+    for base, h in zip(spec.offsets, spec.blobs):
+        if h.arc_count:
+            tails.append(h.tails + base)
+            heads.append(h.heads + base)
+    tails, heads = np.concatenate(tails), np.concatenate(heads)
+    order = np.lexsort((heads, tails))
+    return DiGraph.from_sorted_arrays(spec.total_vertices, tails[order], heads[order])
 
 
 def is_semicomplete(d: DiGraph) -> bool:

@@ -54,6 +54,14 @@ def _sorted_arc_arrays(arcs: Collection[Arc]) -> tuple[np.ndarray, np.ndarray]:
     return tails[order], heads[order]
 
 
+def _members(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Mask of which ``keys`` occur in the sorted array ``sorted_keys``."""
+    if not len(sorted_keys):
+        return np.zeros(len(keys), dtype=bool)
+    pos = np.searchsorted(sorted_keys, keys)
+    return np.take(sorted_keys, pos, mode="clip", out=pos) == keys
+
+
 def _csr(n: int, keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(indptr, values)`` for arcs grouped by ascending ``keys``."""
     indptr = np.zeros(n + 1, dtype=np.int64)
@@ -61,6 +69,13 @@ def _csr(n: int, keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.n
     values = np.asarray(values, dtype=np.int64)
     indptr.flags.writeable = values.flags.writeable = False
     return indptr, values
+
+
+# The largest vertex count n for which ``n * n`` fits int64.
+_KEYED_VERTICES_MAX = 3_037_000_499
+# Query length below which `DiGraph.has_arcs` reads a built arc set rather
+# than pay numpy's fixed cost per call: the measured crossover (CHANGES.md).
+_SET_LOOKUP_MAX_PAIRS = 64
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -132,6 +147,14 @@ class DiGraph:
             return zip(self.tails.tolist(), self.heads.tolist())
         return sorted(self.arcs)
 
+    @property
+    def arc_count(self) -> int:
+        """The number of arcs, read from whichever of the arrays and the set
+        is built already."""
+        if "_arc_arrays" in self.__dict__:
+            return len(self.tails)
+        return len(self.arcs)
+
     @cached_property
     def out_adj(self) -> tuple[tuple[int, ...], ...]:
         """Out-neighbour lists, each sorted ascending."""
@@ -185,10 +208,30 @@ class DiGraph:
     def has_arc(self, u: int, v: int) -> bool:
         return (u, v) in self.arcs
 
+    @cached_property
+    def _arc_keys(self) -> np.ndarray:
+        """Sorted ``tail * n + head`` over the arcs, n being the vertex count;
+        int64 holds them up to `_KEYED_VERTICES_MAX` vertices."""
+        return self.tails * self.vertex_count + self.heads
+
     def has_arcs(self, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
-        """Mask over the pairs (tails[k], heads[k]); exact for ids of any size."""
-        pairs = zip(tails.tolist(), heads.tolist())
-        return np.fromiter(((u, v) in self.arcs for u, v in pairs), bool, len(tails))
+        """Mask over the pairs (tails[k], heads[k]); exact for ids of any size.
+
+        Looked up among the sorted `_arc_keys`, which ids out of range never
+        match; in the arc set when ids or keys do not fit int64, or when the
+        set is built and the query is shorter than `_SET_LOOKUP_MAX_PAIRS`."""
+        n = self.vertex_count
+        if (
+            ("arcs" in self.__dict__ and len(tails) < _SET_LOOKUP_MAX_PAIRS)
+            or n > _KEYED_VERTICES_MAX
+            or tails.dtype == object
+            or heads.dtype == object
+        ):
+            pairs = zip(tails.tolist(), heads.tolist())
+            return np.fromiter(((u, v) in self.arcs for u, v in pairs), bool, len(tails))
+        found = (tails >= 0) & (tails < n) & (heads >= 0) & (heads < n)
+        found &= _members(self._arc_keys, tails.astype(np.int64) * n + heads)
+        return found
 
     def reverse(self) -> DiGraph:
         return DiGraph(self.vertex_count, ((v, u) for u, v in self.arcs))
@@ -323,31 +366,32 @@ def _csr_pointers(
 
 def cycle_through(d: DiGraph, v: int) -> tuple[int, ...]:
     """Shortest cycle through ``v`` in a strong digraph, as the closed walk
-    ``(v, ..., v)``.
+    ``(v, ..., v)``: of the shortest, the one through the smallest
+    out-neighbour w of ``v``, along the path `bfs_pointers` finds from w.
 
-    Runs `bfs_pointers` from each out-neighbour of ``v``, in ascending
-    order, until it reaches ``v``, and keeps the first shortest cycle found.
-    A large digraph is searched over its CSR, and its tuple adjacency is
-    never built.
+    Two searches find it.  The first starts from all out-neighbours at once,
+    in ascending order, and stops at ``v``.  In it, the pointers of each
+    vertex lead back to the smallest source at the vertex's distance from
+    the sources: by induction on the level, the FIFO queue holds every level
+    in order of those sources, and a vertex points at the first vertex of
+    the level before it that has an arc to it.  So from ``v`` they lead back
+    to w.  The second search runs from w alone.  A large digraph is searched
+    over its CSR, and its tuple adjacency is never built.
     """
     d.check_vertex(v)
     if d.vertex_count < 2:
         raise ValueError("need at least two vertices to have a cycle")
-    best: list[int] | None = None
-    for w in d.out_neighbours(v):
-        if best is not None and len(best) <= 3:
-            break  # a 2-cycle cannot be beaten
-        pointer = bfs_pointers(d, (w,), target=v)
-        if pointer[v] == -1:
-            continue
-        path = [v]  # v back to w along the pointers, then reversed
-        while path[-1] != w:
-            path.append(int(pointer[path[-1]]))
-        if best is None or len(path) + 1 < len(best):
-            best = [v, *reversed(path)]
-    if best is None:
+    pointer = bfs_pointers(d, d.out_neighbours(v), target=v)
+    if pointer[v] == -1:
         raise ValueError(f"no cycle through vertex {v}: digraph is not strong")
-    return tuple(best)
+    w = int(pointer[v])
+    while pointer[w] != w:
+        w = int(pointer[w])
+    pointer = bfs_pointers(d, (w,), target=v)
+    path = [v]  # v back to w along the pointers, then reversed
+    while path[-1] != w:
+        path.append(int(pointer[path[-1]]))
+    return (v, *reversed(path))
 
 
 def strong_components(d: DiGraph) -> tuple[list[frozenset[int]], DiGraph]:

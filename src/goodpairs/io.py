@@ -2,26 +2,41 @@
 
 Every document is a single line of JSON:
 
-  digraph       {"n": 3, "arcs": [[0,1],[1,2],[2,0]]}
+  digraph       {"n": 3, "arcs": [[0, 1], [1, 2], [2, 0]]}
   composition   {"T": <digraph>, "H": [<digraph>, ...]}   with len(H) == T.n
-  good pair     {"root": 0, "out_arcs": [[0,1]], "in_arcs": [[1,0]]}
+  good pair     {"root": 0, "out_arcs": [[0, 1]], "in_arcs": [[1, 0]]}
 
-Arc lists are serialized sorted ascending, so parse(serialize(x)) == x and
-documents diff cleanly; the text is what ``json.dumps`` writes, built by one
-join over the arcs.  Parsers reject loops, duplicate arcs, out-of-range ids
-and malformed syntax, naming the offending field.  An arc list becomes int
-arrays sorted by (tail, head) once, at this boundary: C-level scans screen
-its items, and the loop, range and duplicate checks run as masks over the
-arrays.  The error names the first failing arc, ``field[i]``, with the first
-check it fails in the order pair of integers, loop, range, duplicate.  Ids
-beyond int64 are kept exact, in arrays of dtype object.
+Arc lists are written sorted ascending, so parse(serialize(x)) == x and
+documents diff cleanly.  The text is what ``json.dumps`` writes, with
+``", "`` separators.  A document is its integers with fixed text between
+them.  From `ARRAY_TEXT_MIN_INTS` integers on, `_join_ints` writes all of
+them into one byte buffer, one pass per digit place; below that, and for
+ids beyond int64 (arrays of dtype object), a join over the arcs writes
+them, which keeps any id exact.
+
+Texts of at least `ARRAY_READ_MIN_BYTES` are first read as canonical text,
+the writers' own form, once the white space ``json.loads`` skips around a
+document is stripped.  `_canonical_ints` takes the runs of digits out of
+the text, and the bytes before each run tell which field it belongs to.
+The text is accepted only when the writer, run on what was read, gives it
+back byte for byte, and the arcs pass the loop, range and order masks;
+``json.loads`` reads such a text the same way.  Any other text (white space
+inside, another key order, leading zeros, unsorted or bad arcs, ids over 18
+digits, ...) goes through ``json.loads``.  Its arc lists become int arrays
+sorted by (tail, head) once: C-level scans screen their items, and the
+loop, range and duplicate checks run as masks over the arrays.  Parsers
+reject loops, duplicate arcs, out-of-range ids and malformed syntax.  The
+error names the first failing arc, ``field[i]``, with the first check it
+fails in the order pair of integers, loop, range, duplicate.  Ids beyond
+int64 are kept exact, in arrays of dtype object.
 """
 
 from __future__ import annotations
 
 import json
 from itertools import chain, compress, repeat
-from typing import Any, Iterable
+from operator import attrgetter
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -35,6 +50,325 @@ IN_ARC_ATTR = "color=red"
 
 class FormatError(ValueError):
     """Raised on malformed input documents; the message names the field."""
+
+
+# Sizes from which the arrays pay off, set from the crossovers measured
+# against ``json.loads`` and the per-arc join (CHANGES.md): documents of at
+# least this many integers are written by `_join_ints`, and texts of at
+# least this many bytes are tried as canonical text first.
+ARRAY_TEXT_MIN_INTS = 1024
+ARRAY_READ_MIN_BYTES = 16_384
+
+
+# The text before each integer of a bare arc list, and after the last one.
+_LIST_HEAD, _LIST_TAIL, _LIST_FIRST, _LIST_END = range(4)
+_LIST_GAPS = (b", ", b"], [", b"[[", b"]]")
+# The same for a run of digraph documents joined by ", ": before a head, a
+# tail, the first tail, the first n, an n after a digraph with arcs or
+# without, and after the last one, with arcs or without.
+_DOC_GAPS = (
+    b", ",
+    b"], [",
+    b', "arcs": [[',
+    b'{"n": ',
+    b']]}, {"n": ',
+    b', "arcs": []}, {"n": ',
+    b"]]}",
+    b', "arcs": []}',
+)
+_DOC_FIRST_TAIL, _DOC_FIRST_N, _DOC_N_AFTER_ARCS, _DOC_N_AFTER_NONE = range(2, 6)
+_DOC_END_ARCS, _DOC_END_NONE = 6, 7
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
+
+
+def _join_ints(
+    values: np.ndarray, codes: np.ndarray, gaps: tuple[bytes, ...]
+) -> str:
+    """``gaps[codes[0]] + str(values[0]) + gaps[codes[1]] + ... +
+    str(values[-1]) + gaps[codes[-1]]`` for non-negative int64 ``values``,
+    written into one byte buffer.
+
+    Every value is written at the width of the longest, one digit place per
+    pass, the most significant first: a shorter value's leading zeros land
+    on the bytes before it, which a later pass or the gaps overwrite.  The
+    buffer has that width in front, for the zeros of the first value.
+    """
+    longest = len(str(values.max())) if len(values) else 0
+    width = np.array([len(g) for g in gaps])[codes]
+    width[:-1] += 1
+    for power in _POWERS_OF_TEN[: max(longest - 1, 0)]:
+        width[:-1] += values >= power
+    ends = np.cumsum(width) + longest
+    buf = np.empty(ends[-1], dtype=np.uint8)
+    rest = values.astype(np.uint32) if longest < 10 else values
+    places = []
+    for _ in range(longest):
+        quotient = rest // 10
+        places.append((rest - quotient * 10).astype(np.uint8) + 48)
+        rest = quotient
+    at = ends[:-1] - longest
+    for place in reversed(places):
+        buf[at] = place
+        at += 1
+    starts = ends - width
+    for code, gap in enumerate(gaps):
+        at = starts[codes == code]
+        for byte in gap:
+            buf[at] = byte
+            at += 1
+    return buf[longest:].tobytes().decode("ascii")
+
+
+def _writable(*arrays: np.ndarray) -> bool:
+    """True when `_join_ints` can write the ids: non-negative int64."""
+    return all(
+        a.dtype.kind == "i" and not (len(a) and a.min() < 0) for a in arrays
+    )
+
+
+def _arc_list_bytes(tails: np.ndarray, heads: np.ndarray) -> str:
+    """The arcs ``(tails[k], heads[k])``, non-negative int64, as
+    ``json.dumps`` writes a list of ``[tail, head]`` lists."""
+    if not len(tails):
+        return "[]"
+    values = np.empty(2 * len(tails), dtype=np.int64)
+    values[0::2], values[1::2] = tails, heads
+    codes = np.empty(len(values) + 1, dtype=np.intp)
+    codes[1::2], codes[2::2] = _LIST_HEAD, _LIST_TAIL
+    codes[0], codes[-1] = _LIST_FIRST, _LIST_END
+    return _join_ints(values, codes, _LIST_GAPS)
+
+
+def _arc_list_join(arcs: Iterable[Arc]) -> str:
+    """The arcs, ``(tail, head)`` int pairs in order, as ``json.dumps``
+    writes a list of ``[tail, head]`` lists, by one join."""
+    return "[" + ", ".join([f"[{u}, {v}]" for u, v in arcs]) + "]"
+
+
+def _arc_list_text(tails: np.ndarray, heads: np.ndarray) -> str:
+    """`_arc_list_bytes` from `ARRAY_TEXT_MIN_INTS` ids on; below it, or for
+    ids it cannot write, `_arc_list_join`."""
+    if 2 * len(tails) >= ARRAY_TEXT_MIN_INTS and _writable(tails, heads):
+        return _arc_list_bytes(tails, heads)
+    return _arc_list_join(zip(tails.tolist(), heads.tolist()))
+
+
+def _digraphs_text(values: np.ndarray, n_at: np.ndarray) -> str:
+    """Digraph documents joined by ``", "``: digraph g has ``values[n_at[g]]``
+    vertices and its arcs, interleaved tail and head, up to ``n_at[g + 1]``."""
+    lengths = np.diff(n_at, append=len(values))
+    with_arcs = lengths > 1
+    codes = np.empty(len(values) + 1, dtype=np.intp)
+    # Offsets 1, 3, ... past an n are tails, offsets 2, 4, ... heads.
+    codes[:-1] = (np.arange(len(values)) - np.repeat(n_at, lengths)) & 1
+    codes[n_at[with_arcs] + 1] = _DOC_FIRST_TAIL
+    codes[n_at[1:]] = np.where(
+        with_arcs[:-1], _DOC_N_AFTER_ARCS, _DOC_N_AFTER_NONE
+    )
+    codes[0] = _DOC_FIRST_N
+    codes[-1] = _DOC_END_ARCS if with_arcs[-1] else _DOC_END_NONE
+    return _join_ints(values, codes, _DOC_GAPS)
+
+
+def _digraph_docs(graphs: Sequence[DiGraph]) -> str:
+    """The documents of ``graphs`` joined by ``", "``, arcs sorted.
+
+    Graphs are often one shared object, each written once by
+    `_arc_list_join`, from whichever of its arc set and arrays is built, and
+    joined.  When the distinct graphs hold at least `ARRAY_TEXT_MIN_INTS`
+    integers, all graphs go into one `_digraphs_text` call instead, unless
+    some vertex count does not fit int64."""
+    keys = list(map(id, graphs))
+    distinct = dict(zip(keys, graphs))  # blobs often share one DiGraph
+    kinds = list(distinct.values())
+    counts = np.fromiter(map(attrgetter("arc_count"), kinds), np.int64, len(kinds))
+    try:
+        sizes = np.fromiter(
+            map(attrgetter("vertex_count"), kinds), np.int64, len(kinds)
+        )
+    except OverflowError:
+        sizes = None
+    if sizes is None or len(kinds) + 2 * counts.sum() < ARRAY_TEXT_MIN_INTS:
+        texts = {
+            key: f'{{"n": {h.vertex_count}, "arcs": {_arc_list_join(h.arcs_in_order())}}}'
+            for key, h in distinct.items()
+        }
+        return ", ".join(map(texts.__getitem__, keys))
+    index = dict(zip(distinct, range(len(kinds))))
+    which = np.fromiter(map(index.__getitem__, keys), np.intp, len(keys))
+    counts = counts[which]
+    n_at = np.arange(len(keys)) + 2 * (np.cumsum(counts) - counts)
+    values = np.empty(len(keys) + 2 * int(counts.sum()), dtype=np.int64)
+    values[n_at] = sizes[which]
+    if len(values) > len(keys):
+        ids = np.ones(len(values), dtype=bool)
+        ids[n_at] = False
+        at = np.flatnonzero(ids)
+        with_arcs = [kinds[k] for k in which[counts > 0].tolist()]
+        values[at[0::2]] = np.concatenate([h.tails for h in with_arcs])
+        values[at[1::2]] = np.concatenate([h.heads for h in with_arcs])
+    return _digraphs_text(values, n_at)
+
+
+def _composition_text(outer: str, blobs: str) -> str:
+    return f'{{"T": {outer}, "H": [{blobs}]}}'
+
+
+def _pair_text(root: int, out_arcs: str, in_arcs: str) -> str:
+    return f'{{"root": {root}, "out_arcs": {out_arcs}, "in_arcs": {in_arcs}}}'
+
+
+def serialize_digraph(d: DiGraph) -> str:
+    return _digraph_docs([d])
+
+
+def serialize_composition(spec: CompositionSpec) -> str:
+    return _composition_text(_digraph_docs([spec.outer]), _digraph_docs(spec.blobs))
+
+
+def serialize_good_pair(gp: GoodPair) -> str:
+    out_b, in_b = gp.out_branching, gp.in_branching
+    out_arcs = _arc_list_text(out_b.tails, out_b.heads)
+    return _pair_text(gp.root, out_arcs, _arc_list_text(in_b.tails, in_b.heads))
+
+
+_COLON = ord(":")
+
+
+def _canonical_ints(
+    text: str,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The runs of decimal digits in ``text`` as ``(values, starts, marks)``:
+    each run's int64 value, its offset, and the byte two before it (``:`` in
+    ``"n": 5``, ``[`` in ``[[5``).  None when the text is not ASCII, has no
+    run, starts or ends with one, or has a run over 18 digits, which int64
+    might not hold."""
+    if not text.isascii():
+        return None
+    raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    digits = raw - 48  # wraps, so only the digits fall below 10
+    is_digit = digits < 10
+    if not len(raw) or is_digit[0] or is_digit[-1]:
+        return None
+    edges = np.flatnonzero(is_digit[1:] != is_digit[:-1]) + 1
+    starts, ends = edges[0::2], edges[1::2]
+    if not len(starts) or starts[0] < 2:
+        return None
+    lengths = ends - starts
+    longest = int(lengths.max())
+    if longest > 18:
+        return None
+    values = digits[ends - 1].astype(np.int64)
+    for k in range(1, longest):  # the digit k places from the last
+        digit = np.where(lengths > k, digits[ends - 1 - k], 0)
+        values += digit * _POWERS_OF_TEN[k - 1]
+    return values, starts, raw[starts - 2]
+
+
+def _simple_and_sorted(
+    tails: np.ndarray, heads: np.ndarray, group: np.ndarray | None = None
+) -> bool:
+    """True when no arc is a loop and the arcs of each list (the runs of
+    equal ``group``) rise strictly by (tail, head), so none repeats."""
+    if not len(tails):
+        return True
+    rising = tails[1:] > tails[:-1]
+    rising |= (tails[1:] == tails[:-1]) & (heads[1:] > heads[:-1])
+    if group is not None:
+        rising |= group[1:] != group[:-1]
+    return bool(rising.all()) and not (tails == heads).any()
+
+
+def _arc_pairs(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Interleaved ids as ``(tails, heads)``; None for an odd count."""
+    if len(ids) % 2:
+        return None
+    return np.ascontiguousarray(ids[0::2]), np.ascontiguousarray(ids[1::2])
+
+
+def _canonical_digraphs(values: np.ndarray, marks: np.ndarray):
+    """``(n_at, sizes, counts, tails, heads)`` for the digraph documents
+    whose ints `_canonical_ints` read: each n is marked by a colon, and its
+    arcs follow it.  None when the ints do not split into such documents or
+    some arc is a loop, out of range, or out of order."""
+    n_at = np.flatnonzero(marks == _COLON)
+    if not len(n_at) or n_at[0] != 0:
+        return None
+    lengths = np.diff(n_at, append=len(values)) - 1
+    arcs = _arc_pairs(np.delete(values, n_at))
+    if arcs is None or (lengths & 1).any():
+        return None
+    tails, heads = arcs
+    sizes, counts = values[n_at], lengths // 2
+    group = np.repeat(np.arange(len(n_at)), counts)
+    bound = sizes[group]
+    if (tails >= bound).any() or (heads >= bound).any():
+        return None
+    if not _simple_and_sorted(tails, heads, group):
+        return None
+    return n_at, sizes, counts, tails, heads
+
+
+def _canonical_digraph(text: str) -> DiGraph | None:
+    read = _canonical_ints(text)
+    found = read and _canonical_digraphs(read[0], read[2])
+    if not found or len(found[0]) != 1:
+        return None
+    n_at, sizes, _, tails, heads = found
+    if _digraphs_text(read[0], n_at) != text:
+        return None
+    return DiGraph.from_sorted_arrays(int(sizes[0]), tails, heads)
+
+
+def _canonical_composition(text: str) -> CompositionSpec | None:
+    read = _canonical_ints(text)
+    found = read and _canonical_digraphs(read[0], read[2])
+    if not found:
+        return None
+    values = read[0]
+    n_at, sizes, counts, tails, heads = found
+    if len(n_at) < 2 or sizes[0] != len(n_at) - 1 or sizes[1:].min() < 1:
+        return None
+    cut = n_at[1]
+    outer_text = _digraphs_text(values[:cut], n_at[:1])
+    blobs_text = _digraphs_text(values[cut:], n_at[1:] - cut)
+    if _composition_text(outer_text, blobs_text) != text:
+        return None
+    ends = np.cumsum(counts).tolist()
+    m = ends[0]
+    outer = DiGraph.from_sorted_arrays(int(sizes[0]), tails[:m], heads[:m])
+    # As `_blobs_from_docs` builds them: arcless blobs share one per size.
+    blob_sizes = sizes[1:].tolist()
+    arcless = {k: DiGraph(k) for k in set(blob_sizes)}
+    blobs = list(map(arcless.__getitem__, blob_sizes))
+    for i in np.flatnonzero(counts[1:]).tolist():
+        a, b = ends[i], ends[i + 1]
+        blobs[i] = DiGraph.from_sorted_arrays(blob_sizes[i], tails[a:b], heads[a:b])
+    return CompositionSpec(outer, blobs)
+
+
+def _canonical_pair(text: str) -> GoodPair | None:
+    read = _canonical_ints(text)
+    if read is None:
+        return None
+    values, starts, marks = read
+    if marks[0] != _COLON:
+        return None
+    cut = 1 + int(np.searchsorted(starts[1:], text.find('"in_arcs"')))
+    out_arcs, in_arcs = _arc_pairs(values[1:cut]), _arc_pairs(values[cut:])
+    if out_arcs is None or in_arcs is None:
+        return None
+    if not (_simple_and_sorted(*out_arcs) and _simple_and_sorted(*in_arcs)):
+        return None
+    root = int(values[0])
+    rebuilt = _pair_text(root, _arc_list_bytes(*out_arcs), _arc_list_bytes(*in_arcs))
+    if rebuilt != text:
+        return None
+    return GoodPair(
+        root,
+        Branching.from_sorted_arrays(root, "out", *out_arcs),
+        Branching.from_sorted_arrays(root, "in", *in_arcs),
+    )
 
 
 def _json_object(text: str, what: str) -> dict[str, Any]:
@@ -151,20 +485,11 @@ def _digraph_from_doc(doc: dict[str, Any], what: str) -> DiGraph:
     return DiGraph.from_sorted_arrays(n, *_parse_arc_list(doc["arcs"], n, f"{what}.arcs"))
 
 
-def parse_digraph(text: str) -> DiGraph:
+def _digraph_from_json(text: str) -> DiGraph:
     return _digraph_from_doc(_json_object(text, "digraph"), "digraph")
 
 
-def _arc_list_text(arcs: Iterable[Arc]) -> str:
-    """The arcs as ``json.dumps`` writes a list of ``[tail, head]`` lists."""
-    return "[" + ", ".join([f"[{u}, {v}]" for u, v in arcs]) + "]"
-
-
-def serialize_digraph(d: DiGraph) -> str:
-    return f'{{"n": {d.vertex_count}, "arcs": {_arc_list_text(d.arcs_in_order())}}}'
-
-
-def parse_composition(text: str) -> CompositionSpec:
+def _composition_from_json(text: str) -> CompositionSpec:
     doc = _json_object(text, "composition")
     _expect_keys(doc, {"T", "H"}, "composition")
     if not isinstance(doc["T"], dict):
@@ -233,15 +558,7 @@ def _blob_from_doc(i: int, sub: Any) -> DiGraph:
     return blob
 
 
-def serialize_composition(spec: CompositionSpec) -> str:
-    # Blobs often share one DiGraph object; each is written once.
-    distinct = {id(h): h for h in spec.blobs}
-    texts = {key: serialize_digraph(h) for key, h in distinct.items()}
-    blobs = ", ".join(map(texts.__getitem__, map(id, spec.blobs)))
-    return f'{{"T": {serialize_digraph(spec.outer)}, "H": [{blobs}]}}'
-
-
-def parse_good_pair(text: str) -> GoodPair:
+def _pair_from_json(text: str) -> GoodPair:
     doc = _json_object(text, "pair")
     _expect_keys(doc, {"root", "out_arcs", "in_arcs"}, "pair")
     root = doc["root"]
@@ -256,6 +573,30 @@ def parse_good_pair(text: str) -> GoodPair:
     )
 
 
+def _parse(text: str, canonical, by_json):
+    """``canonical`` of ``text`` without the white space ``json.loads``
+    skips around a document (the CLI's output ends in a newline), for texts
+    of at least `ARRAY_READ_MIN_BYTES`; ``by_json`` of ``text`` when that
+    gives None or the text is shorter."""
+    if len(text) >= ARRAY_READ_MIN_BYTES:
+        found = canonical(text.strip(" \t\n\r"))
+        if found is not None:
+            return found
+    return by_json(text)
+
+
+def parse_digraph(text: str) -> DiGraph:
+    return _parse(text, _canonical_digraph, _digraph_from_json)
+
+
+def parse_composition(text: str) -> CompositionSpec:
+    return _parse(text, _canonical_composition, _composition_from_json)
+
+
+def parse_good_pair(text: str) -> GoodPair:
+    return _parse(text, _canonical_pair, _pair_from_json)
+
+
 def branching_arc_list(b: Branching) -> list[list[int]]:
     """The arcs of ``b`` as ``[tail, head]`` lists, in its sorted order."""
     return np.column_stack((b.tails, b.heads)).tolist()
@@ -267,12 +608,6 @@ def good_pair_doc(gp: GoodPair) -> dict[str, Any]:
         "out_arcs": branching_arc_list(gp.out_branching),
         "in_arcs": branching_arc_list(gp.in_branching),
     }
-
-
-def serialize_good_pair(gp: GoodPair) -> str:
-    out_arcs = _arc_list_text(gp.out_branching.arcs_in_order())
-    in_arcs = _arc_list_text(gp.in_branching.arcs_in_order())
-    return f'{{"root": {gp.root}, "out_arcs": {out_arcs}, "in_arcs": {in_arcs}}}'
 
 
 def export_dot(

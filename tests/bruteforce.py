@@ -3,7 +3,8 @@
 Everything here is deliberately naive and self-contained: reachability by
 hand-rolled BFS over arc sets, branching candidates by iterating raw arc
 subsets, and per-item loops as the references for the branching verifier,
-the parsers' arc-list checks and the semicomplete test.
+the parsers' arc-list checks, the writers, `materialize` and the
+semicomplete test.
 Keep it that way; these functions must not share search logic with the
 code they check.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from itertools import combinations, product
 
-from goodpairs import DiGraph
+from goodpairs import CompositionSpec, DiGraph, GoodPair
 
 
 def reachable_from(arcs, n: int, start: int) -> set[int]:
@@ -135,6 +136,44 @@ def reference_arc_list_error(raw, n: int | None, field: str) -> str | None:
             return f"{where}: duplicate arc ({u},{v})"
         seen.add((u, v))
     return None
+
+
+def reference_arc_list_text(arcs) -> str:
+    """The arcs, (tail, head) int pairs in order, as ``json.dumps`` writes a
+    list of ``[tail, head]`` lists, by one f-string per arc."""
+    return "[" + ", ".join([f"[{u}, {v}]" for u, v in arcs]) + "]"
+
+
+def reference_digraph_text(d: DiGraph) -> str:
+    return f'{{"n": {d.vertex_count}, "arcs": {reference_arc_list_text(sorted(d.arcs))}}}'
+
+
+def reference_composition_text(spec: CompositionSpec) -> str:
+    blobs = ", ".join(map(reference_digraph_text, spec.blobs))
+    return f'{{"T": {reference_digraph_text(spec.outer)}, "H": [{blobs}]}}'
+
+
+def reference_pair_text(gp: GoodPair) -> str:
+    out_arcs = reference_arc_list_text(sorted(gp.out_branching.arcs))
+    in_arcs = reference_arc_list_text(sorted(gp.in_branching.arcs))
+    return f'{{"root": {gp.root}, "out_arcs": {out_arcs}, "in_arcs": {in_arcs}}}'
+
+
+def reference_materialize(spec: CompositionSpec) -> DiGraph:
+    """The composition built arc by arc as tuples: each blob's arcs shifted
+    to its global ids, and every pair of vertices of blobs i and p for each
+    outer arc (i, p)."""
+    offsets = [0]
+    for h in spec.blobs:
+        offsets.append(offsets[-1] + h.vertex_count)
+    arcs = []
+    for i, h in enumerate(spec.blobs):
+        arcs.extend((offsets[i] + u, offsets[i] + v) for u, v in h.arcs)
+    for i, p in spec.outer.arcs:
+        for a in range(spec.blobs[i].vertex_count):
+            for b in range(spec.blobs[p].vertex_count):
+                arcs.append((offsets[i] + a, offsets[p] + b))
+    return DiGraph(offsets[-1], arcs)
 
 
 def reference_is_semicomplete(d: DiGraph) -> bool:

@@ -24,7 +24,11 @@ from goodpairs import (
     verify_good_pair,
 )
 
-from bruteforce import reference_branching_problems, reference_is_semicomplete
+from bruteforce import (
+    reference_branching_problems,
+    reference_is_semicomplete,
+    reference_materialize,
+)
 from strategies import digraphs
 
 
@@ -60,6 +64,29 @@ class TestMaterialize:
     def test_arc_count_formula(self):
         spec = spec_c3_k2bar()
         assert spec.arc_count() == len(materialize(spec).arcs)
+
+    def test_vertex_limit_reported(self):
+        with pytest.raises(ValueError, match="6 vertices, over the limit of 5"):
+            materialize(spec_c3_k2bar(), max_vertices=5)
+
+    def test_matches_reference_on_c4_specs(self):
+        """The specs of acceptance criterion C4: semicomplete outers, blobs
+        of 1 or 2 vertices, blob arcs at probability 0, 0.3 and 0.6."""
+        for seed in range(60):
+            p = (0.0, 0.3, 0.6)[seed % 3]
+            spec = gen_composition(2 + seed % 3, (1, 2), p, "semicomplete", seed=seed)
+            q = materialize(spec)
+            assert q == reference_materialize(spec)
+            assert list(q.arcs_in_order()) == sorted(q.arcs)
+
+    @given(digraphs(min_n=1, max_n=4), st.data())
+    def test_matches_reference_with_blob_arcs(self, outer, data):
+        blobs = [data.draw(digraphs(min_n=1, max_n=4)) for _ in range(outer.vertex_count)]
+        spec = CompositionSpec(outer, blobs)
+        q = materialize(spec)
+        assert q == reference_materialize(spec)
+        assert list(q.arcs_in_order()) == sorted(q.arcs)
+        assert len(q.tails) == spec.arc_count()
 
 
 class TestHasArc:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goodpairs import (
     Branching,
@@ -20,6 +21,7 @@ from goodpairs import (
     verify_branching,
     verify_good_pair,
 )
+from goodpairs import digraph as digraph_module
 from goodpairs.digraph import (
     CSR_SEARCH_MIN_VERTICES,
     _fifo_pointers,
@@ -58,6 +60,34 @@ class TestDiGraph:
         d = DiGraph(0)
         assert strong_components(d) == ([], DiGraph(0))
         assert is_strong(d)
+
+    @given(digraphs(max_n=6), st.lists(st.tuples(st.integers(-8, 8), st.integers(-8, 8))))
+    def test_has_arcs_matches_the_arc_set(self, d, queries):
+        """Sorted-key lookups, ids out of range included, against the set;
+        a digraph built from arrays has no set, so its queries take keys."""
+        tails = np.array([u for u, _ in queries], dtype=np.int64)
+        heads = np.array([v for _, v in queries], dtype=np.int64)
+        expected = [a in d.arcs for a in queries]
+        keyed = DiGraph.from_sorted_arrays(d.vertex_count, d.tails.copy(), d.heads.copy())
+        assert keyed.has_arcs(tails, heads).tolist() == expected
+        assert "arcs" not in keyed.__dict__
+        assert d.has_arcs(tails, heads).tolist() == expected
+
+    def test_has_arcs_ids_out_of_range_whose_keys_collide(self):
+        """(1, -1) and (0, 3) have the keys 1 * 3 - 1 and 0 * 3 + 3 of the
+        arcs (0, 2) and (1, 0)."""
+        d = DiGraph.from_sorted_arrays(3, np.array([0, 1]), np.array([2, 0]))
+        tails, heads = np.array([1, 0, 2, 0, 1]), np.array([-1, 3, -3, 2, 0])
+        assert d.has_arcs(tails, heads).tolist() == [False, False, False, True, True]
+
+    def test_has_arcs_beyond_int64_keys(self):
+        big = 2**62
+        d = DiGraph(big, [(0, big - 1), (big - 1, 0)])
+        tails = np.array([0, big - 1, 0, 2**63 + 1], dtype=object)
+        heads = np.array([big - 1, 0, 1, 0], dtype=object)
+        assert d.has_arcs(tails, heads).tolist() == [True, True, False, False]
+        found = d.has_arcs(tails[:3].astype(np.int64), heads[:3].astype(np.int64))
+        assert found.tolist() == [True, True, False]
 
 
 class TestStrongComponents:
@@ -230,6 +260,23 @@ class TestCycleThrough:
             for v in (0, 7 * seed, d.vertex_count - 1):
                 assert cycle_through(d, v) == shortest_cycle_through(d, v)
             assert "out_adj" not in d.__dict__ and "in_adj" not in d.__dict__
+
+    @pytest.mark.parametrize("n", [149, 150])
+    def test_semicomplete_digraphs_match_reference(self, n, monkeypatch):
+        """Tournaments and near-tournaments, where v has about n/2
+        out-neighbours, on both sides of the CSR constant, lowered to 150
+        so that the reference's arc set stays small."""
+        monkeypatch.setattr(digraph_module, "CSR_SEARCH_MIN_VERTICES", 150)
+        for seed, bidir in ((1, 0.0), (2, 0.0), (3, 0.05)):
+            d = gen_semicomplete(n, bidir, seed)
+            for v in range(0, n, 7):
+                expected = shortest_cycle_through(d, v)
+                if expected is None:
+                    with pytest.raises(ValueError, match="not strong"):
+                        cycle_through(d, v)
+                else:
+                    assert cycle_through(d, v) == expected
+            assert ("out_adj" in d.__dict__) == (n < 150)
 
 
 class TestIsStrong:

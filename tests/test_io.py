@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import re
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given
@@ -14,8 +16,10 @@ from goodpairs import (
     GoodPair,
     construct_good_pair,
     gen_composition,
+    gen_strong_digraph,
     verify_good_pair,
 )
+from goodpairs import io as gio
 from goodpairs.io import (
     FormatError,
     export_dot,
@@ -27,7 +31,12 @@ from goodpairs.io import (
     serialize_good_pair,
 )
 
-from bruteforce import reference_arc_list_error
+from bruteforce import (
+    reference_arc_list_error,
+    reference_composition_text,
+    reference_digraph_text,
+    reference_pair_text,
+)
 from strategies import digraphs
 
 
@@ -352,3 +361,275 @@ class TestDot:
     def test_needs_something(self):
         with pytest.raises(ValueError):
             export_dot()
+
+
+@st.composite
+def _compositions(draw):
+    """Compositions of up to 5 blobs drawn from a pool of up to 3 digraphs,
+    so blobs are often one shared object."""
+    t = draw(st.integers(1, 5))
+    pool = draw(st.lists(digraphs(min_n=1, max_n=4), min_size=1, max_size=3))
+    blobs = draw(st.lists(st.sampled_from(pool), min_size=t, max_size=t))
+    return CompositionSpec(draw(digraphs(min_n=t, max_n=t)), blobs)
+
+
+_ids = st.integers(0, 12) | st.integers(0, 2**64) | st.integers(-3, -1)
+
+
+@st.composite
+def _pairs(draw, ids=_ids):
+    """Pairs of any arcs, valid or not: loops, shared arcs, negative ids
+    and ids beyond int64 are all written as they are."""
+    arcs = st.lists(st.tuples(ids, ids), max_size=6)
+    root = draw(ids)
+    return GoodPair(root, Branching(root, "out", draw(arcs)), Branching(root, "in", draw(arcs)))
+
+
+_valid_pairs = _pairs(st.integers(0, 12)).filter(
+    lambda gp: all(u != v for b in (gp.out_branching, gp.in_branching) for u, v in b.arcs)
+)
+
+
+@contextmanager
+def _arrays_always():
+    """The array writer and the canonical reader for texts of any size."""
+    saved = gio.ARRAY_TEXT_MIN_INTS, gio.ARRAY_READ_MIN_BYTES
+    gio.ARRAY_TEXT_MIN_INTS = gio.ARRAY_READ_MIN_BYTES = 0
+    try:
+        yield
+    finally:
+        gio.ARRAY_TEXT_MIN_INTS, gio.ARRAY_READ_MIN_BYTES = saved
+
+
+def _texts(write, x) -> set[str]:
+    """What ``write`` gives for ``x`` at the module's sizes, and with the
+    arrays at any size."""
+    default = write(x)
+    with _arrays_always():
+        return {default, write(x)}
+
+
+class TestWritersMatchReference:
+    """The writers, both ways, against the f-string writer in
+    tests/bruteforce.py."""
+
+    @given(digraphs())
+    def test_digraph(self, d):
+        assert _texts(serialize_digraph, d) == {reference_digraph_text(d)}
+
+    @given(_compositions())
+    def test_composition(self, spec):
+        assert _texts(serialize_composition, spec) == {reference_composition_text(spec)}
+
+    @given(_pairs())
+    def test_pair(self, gp):
+        assert _texts(serialize_good_pair, gp) == {reference_pair_text(gp)}
+
+    @pytest.mark.parametrize("ids", [[0, 9, 10, 99, 100, 10**9 - 1, 10**9, 2**63 - 1]])
+    def test_digit_counts(self, ids):
+        arcs = [(u, v) for u in ids for v in ids if u != v]
+        d = DiGraph(2**63, arcs)
+        spec = CompositionSpec(DiGraph(2, [(0, 1)]), [d, DiGraph(10**12, arcs[:3])])
+        gp = GoodPair(5, Branching(5, "out", arcs), Branching(5, "in", arcs[::-1]))
+        assert _texts(serialize_digraph, d) == {reference_digraph_text(d)}
+        assert _texts(serialize_composition, spec) == {reference_composition_text(spec)}
+        assert _texts(serialize_good_pair, gp) == {reference_pair_text(gp)}
+
+    def test_ids_beyond_int64(self):
+        d = DiGraph(2**64, [(BIG, 0), (0, 2**64 - 1), (3, 1)])
+        spec = CompositionSpec(DiGraph(2, [(0, 1)]), [d, DiGraph(3, [(2, 1)])])
+        gp = GoodPair(BIG, Branching(BIG, "out", [(BIG, 0)]), Branching(BIG, "in", [(0, BIG)]))
+        assert _texts(serialize_digraph, d) == {reference_digraph_text(d)}
+        assert _texts(serialize_composition, spec) == {reference_composition_text(spec)}
+        assert _texts(serialize_good_pair, gp) == {reference_pair_text(gp)}
+
+    def test_large_documents(self):
+        """Above the module's sizes, where the arrays write by default."""
+        shared = DiGraph(3, [(0, 2)])
+        blobs = [DiGraph(2, [(1, 0)]) if i % 3 else shared for i in range(1500)]
+        spec = CompositionSpec(gen_strong_digraph(1500, 1500, 2), blobs)
+        gp = construct_good_pair(spec, BlobVertex(4, 2))
+        assert serialize_composition(spec) == reference_composition_text(spec)
+        assert serialize_digraph(spec.outer) == reference_digraph_text(spec.outer)
+        assert serialize_good_pair(gp) == reference_pair_text(gp)
+
+
+def _key(x):
+    """A comparable form of a parsed object: ids, dtypes, and which blobs
+    are one shared object."""
+    if isinstance(x, (DiGraph, Branching)):
+        head = (x.vertex_count,) if isinstance(x, DiGraph) else (x.root, x.kind)
+        return (*head, x.tails.tolist(), x.heads.tolist(), x.tails.dtype.str, x.heads.dtype.str)
+    if isinstance(x, CompositionSpec):
+        shared = [next(j for j, c in enumerate(x.blobs) if c is b) for b in x.blobs]
+        return _key(x.outer), [_key(b) for b in x.blobs], shared
+    return x.root, _key(x.out_branching), _key(x.in_branching)
+
+
+def _outcome(parse, text):
+    try:
+        return _key(parse(text))
+    except FormatError as exc:
+        return str(exc)
+
+
+_READERS = {
+    "digraph": (parse_digraph, gio._digraph_from_json, gio._canonical_digraph),
+    "composition": (parse_composition, gio._composition_from_json, gio._canonical_composition),
+    "pair": (parse_good_pair, gio._pair_from_json, gio._canonical_pair),
+}
+_RUN = re.compile(r"\d+")
+_ARC = re.compile(r"\[(\d+), (\d+)\]")
+
+
+@st.composite
+def _mutations(draw, text: str) -> str:
+    """``text`` with one edit that the canonical reader must not take as
+    canonical, or must read as ``json.loads`` does."""
+    runs = list(_RUN.finditer(text))
+    arcs = list(_ARC.finditer(text))
+    kind = draw(
+        st.sampled_from(
+            ["space", "number", "shift", "keys", "duplicate key"]
+            + ["swap", "arc", "non-ascii", "drop"]
+        )
+    )
+    at = draw(st.integers(0, len(text) - 1))
+    if kind == "space":
+        return text[:at] + draw(st.sampled_from([" ", "\n", "\t", "\r"])) + text[at:]
+    if kind == "number":
+        m = draw(st.sampled_from(runs))
+        new = draw(
+            st.sampled_from(
+                ["0{}", "-{}", "{}.0", "{}e0", "1e3", "-0", "00", ""]
+                + ["1" + "0" * 18, str(BIG), "１"]
+            )
+        )
+        return text[: m.start()] + new.format(m.group()) + text[m.end() :]
+    if kind == "shift":  # a digit run moved across the byte before or after it
+        m = draw(st.sampled_from(runs))
+        a, b = m.span()
+        if draw(st.booleans()):
+            return text[: a - 1] + m.group() + text[a - 1] + text[b:]
+        return text[:a] + text[b] + m.group() + text[b + 1 :]
+    if kind == "keys":
+        return json.dumps(dict(reversed(json.loads(text).items())))
+    if kind == "duplicate key":
+        first = text.index('"', 1)
+        key = text[1 : text.index('"', first + 1) + 1]
+        return "{" + key + ": " + draw(st.sampled_from(["7", "0", "[]"])) + ", " + text[1:]
+    if kind == "swap" and len(arcs) > 1:
+        k = draw(st.integers(0, len(arcs) - 2))
+        x, y = arcs[k], arcs[k + 1]
+        between = text[x.end() : y.start()]
+        return text[: x.start()] + y.group() + between + x.group() + text[y.end() :]
+    if kind == "arc" and arcs:
+        k = draw(st.integers(0, len(arcs) - 1))
+        m = arcs[k]
+        u, v = m.groups()
+        new = draw(
+            st.sampled_from(
+                [f"[{u}, {u}]", f"[{v}, {u}]", f"[{u}, 99]", f"[{u}, {v}, 1]", f"[{u}]", "[]"]
+            )
+        )
+        if k and draw(st.booleans()):
+            new = arcs[k - 1].group()  # a repeat of the arc before
+        return text[: m.start()] + new + text[m.end() :]
+    if kind == "non-ascii":
+        return text[:at] + draw(st.sampled_from(["é", "\u00a0", "٣"])) + text[at:]
+    return text[:at] + text[at + 1 :]
+
+
+class TestCanonicalReader:
+    """The canonical reader against the json.loads path: the same object or
+    the same FormatError text, on the writers' output and on edits of it."""
+
+    def check(self, kind, text, canonical):
+        parse, by_json, fast = _READERS[kind]
+        expected = _outcome(by_json, text)
+        assert _outcome(parse, text) == expected
+        with _arrays_always():
+            assert _outcome(parse, text) == expected
+        if canonical:
+            assert fast(text) is not None
+
+    @given(digraphs(), st.data())
+    def test_digraph(self, d, data):
+        text = serialize_digraph(d)
+        self.check("digraph", text, True)
+        self.check("digraph", data.draw(_mutations(text)), False)
+
+    @given(_compositions(), st.data())
+    def test_composition(self, spec, data):
+        text = serialize_composition(spec)
+        self.check("composition", text, True)
+        self.check("composition", data.draw(_mutations(text)), False)
+
+    @given(_valid_pairs, st.data())
+    def test_pair(self, gp, data):
+        text = serialize_good_pair(gp)
+        self.check("pair", text, True)
+        self.check("pair", data.draw(_mutations(text)), False)
+
+    @given(_pairs())
+    def test_any_pair(self, gp):
+        self.check("pair", serialize_good_pair(gp), False)
+
+    @pytest.mark.parametrize(
+        "kind, text",
+        [
+            ("digraph", '{"n": 2, "arcs": [[, 1]]}'),
+            ("digraph", '{"n": 7, "arcs": [5[, 1]]}'),
+            ("digraph", '{"n": 7, "arcs": [[5, 1]], "n": 7}'),
+            ("digraph", '{"n": 7, "arcs": [[5, 1], [5, 1]]}'),
+            ("digraph", '{"n": 7, "arcs": [[5, 1], [0, 1]]}'),
+            ("digraph", '{"n": 7, "arcs": [[05, 1]]}'),
+            ("digraph", '{"n": 1000000000000000000, "arcs": [[5, 1]]}'),
+            ("composition", '{"T": {"n": 1, "arcs": []}, "H": [{"n": 0, "arcs": []}]}'),
+            ("composition", '{"T": {"n": 2, "arcs": [[0, 1]]}, "H": [{"n": 1, "arcs": []}]}'),
+            ("composition", '{"T": {"n": 1, "arcs": []}, "H": [{"n": 2, "arcs": [[0, 2]]}]}'),
+            ("pair", '{"root": 0, "out_arcs": [[-1, 0]], "in_arcs": []}'),
+            ("pair", '{"root": 0, "in_arcs": [[1, 0]], "out_arcs": []}'),
+        ],
+    )
+    def test_layout_traps(self, kind, text):
+        self.check(kind, text, False)
+        assert _READERS[kind][2](text) is None
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"root": 0, "out_arcs": [], "in_arcs": [[1, 0]]}',
+            '{"root": 0, "out_arcs": [[1, 0]], "in_arcs": []}',
+            '{"root": 0, "out_arcs": [], "in_arcs": []}',
+        ],
+    )
+    def test_pairs_with_an_empty_list(self, text):
+        self.check("pair", text, True)
+
+    def test_canonical_text_never_reaches_json_loads(self, monkeypatch):
+        """Without this, a reader that always fell back would pass: the
+        writers' output, with the newline the CLI adds, for a C1-sized spec
+        read at any size, and for one above the module's sizes."""
+        small = gen_composition(8, (2, 4), 0.3, "strong", seed=3)
+        large = CompositionSpec(gen_strong_digraph(2000, 2000, 4), [DiGraph(2)] * 2000)
+        cases = []
+        for spec in (small, large):
+            gp = construct_good_pair(spec, BlobVertex(8, 2))
+            cases += [
+                (parse_composition, serialize_composition(spec), _key(spec)),
+                (parse_digraph, serialize_digraph(spec.outer), _key(spec.outer)),
+                (parse_good_pair, serialize_good_pair(gp), _key(gp)),
+            ]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("json.loads read a canonical text")
+
+        monkeypatch.setattr(gio.json, "loads", refuse)
+        for k, (parse, text, expected) in enumerate(cases):
+            if k < 3:
+                with _arrays_always():
+                    assert _key(parse(text + "\n")) == expected
+            else:
+                assert len(text) >= gio.ARRAY_READ_MIN_BYTES
+                assert _key(parse(text + "\n")) == expected
