@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from operator import attrgetter
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -175,6 +175,26 @@ class ImplicitCompositionView:
 
 DEFAULT_MATERIALIZE_ARC_LIMIT = 2_000_000
 DEFAULT_MATERIALIZE_VERTEX_LIMIT = 1_000_000
+# Arc count below which `materialize` builds the arc set tuple by tuple:
+# there the fixed cost of its dozen numpy calls, each run with cold caches
+# in a long process, outweighs the per-arc loop (the crossover, near 450
+# arcs, is measured in CHANGES.md).
+_TUPLE_MATERIALIZE_MAX_ARCS = 512
+
+
+def _block_arcs(spec: CompositionSpec) -> Iterator[tuple[int, int]]:
+    """The composition's arcs as global ``(tail, head)`` pairs, unordered:
+    each blob's arcs shifted to its ids, then one block per outer arc."""
+    offsets = spec.offsets
+    for base, h in zip(offsets, spec.blobs):
+        for u, v in h.arcs:
+            yield base + u, base + v
+    sizes = [h.vertex_count for h in spec.blobs]
+    for i, p in spec.outer.arcs:
+        bi, bp = offsets[i], offsets[p]
+        for a in range(bi, bi + sizes[i]):
+            for b in range(bp, bp + sizes[p]):
+                yield a, b
 
 
 def materialize(
@@ -186,7 +206,9 @@ def materialize(
 
     Refuses (with the offending counts in the message) rather than silently
     building something enormous; the implicit query interface covers the
-    large cases.
+    large cases.  Below `_TUPLE_MATERIALIZE_MAX_ARCS` arcs the digraph
+    starts from its arc set, and from there up from sorted arrays built as
+    one numpy block product.
     """
     if spec.total_vertices > max_vertices:
         raise ValueError(
@@ -199,6 +221,8 @@ def materialize(
             f"materialized composition would have {expected} arcs, "
             f"over the limit of {max_arcs}"
         )
+    if expected < _TUPLE_MATERIALIZE_MAX_ARCS:
+        return DiGraph(spec.total_vertices, _block_arcs(spec))
     sizes = np.array([h.vertex_count for h in spec.blobs], dtype=np.int64)
     offsets = np.array(spec.offsets[:-1], dtype=np.int64)
     # Outer arc e = (i, p) gives the block of sizes[i] * sizes[p] arcs

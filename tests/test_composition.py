@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from goodpairs import (
     verify_branching,
     verify_good_pair,
 )
+
+from goodpairs import composition as composition_module
 
 from bruteforce import (
     reference_branching_problems,
@@ -69,24 +72,38 @@ class TestMaterialize:
         with pytest.raises(ValueError, match="6 vertices, over the limit of 5"):
             materialize(spec_c3_k2bar(), max_vertices=5)
 
-    def test_matches_reference_on_c4_specs(self):
+    # Both builds: the arc set below the crossover, the numpy arrays above.
+    BUILDS = pytest.mark.parametrize("crossover", [0, 10**9], ids=["arrays", "set"])
+
+    @BUILDS
+    def test_matches_reference_on_c4_specs(self, crossover):
         """The specs of acceptance criterion C4: semicomplete outers, blobs
         of 1 or 2 vertices, blob arcs at probability 0, 0.3 and 0.6."""
-        for seed in range(60):
-            p = (0.0, 0.3, 0.6)[seed % 3]
-            spec = gen_composition(2 + seed % 3, (1, 2), p, "semicomplete", seed=seed)
-            q = materialize(spec)
-            assert q == reference_materialize(spec)
-            assert list(q.arcs_in_order()) == sorted(q.arcs)
+        with patch.object(composition_module, "_TUPLE_MATERIALIZE_MAX_ARCS", crossover):
+            for seed in range(60):
+                p = (0.0, 0.3, 0.6)[seed % 3]
+                spec = gen_composition(2 + seed % 3, (1, 2), p, "semicomplete", seed=seed)
+                q = materialize(spec)
+                assert q == reference_materialize(spec)
+                assert list(q.arcs_in_order()) == sorted(q.arcs)
 
+    @BUILDS
     @given(digraphs(min_n=1, max_n=4), st.data())
-    def test_matches_reference_with_blob_arcs(self, outer, data):
+    def test_matches_reference_with_blob_arcs(self, crossover, outer, data):
         blobs = [data.draw(digraphs(min_n=1, max_n=4)) for _ in range(outer.vertex_count)]
         spec = CompositionSpec(outer, blobs)
-        q = materialize(spec)
+        with patch.object(composition_module, "_TUPLE_MATERIALIZE_MAX_ARCS", crossover):
+            q = materialize(spec)
         assert q == reference_materialize(spec)
         assert list(q.arcs_in_order()) == sorted(q.arcs)
         assert len(q.tails) == spec.arc_count()
+
+    def test_large_composition_uses_arrays(self):
+        spec = gen_composition(12, (6, 8), 0.3, "semicomplete", seed=3)
+        assert spec.arc_count() >= composition_module._TUPLE_MATERIALIZE_MAX_ARCS
+        q = materialize(spec)
+        assert "_arc_arrays" in q.__dict__ and "arcs" not in q.__dict__
+        assert q == reference_materialize(spec)
 
 
 class TestHasArc:
