@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from goodpairs import (
@@ -11,6 +13,8 @@ from goodpairs import (
     is_strong,
     validate_for_construction,
 )
+from goodpairs.cli import main
+from goodpairs.io import serialize_composition, serialize_digraph
 
 
 class TestGenStrong:
@@ -98,3 +102,65 @@ class TestGenComposition:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="outer_kind"):
             gen_composition(3, (1, 2), 0.0, "weird", seed=0)
+
+
+def _pinned_grid():
+    """(``gen`` argv, library call) for every output the digest pins: small
+    compositions over seeds, sizes, both outer kinds and blob-arc
+    probabilities; semicomplete and strong digraphs from empty to full; one
+    large composition of each outer kind."""
+    for seed in range(60):
+        for t in (2, 3, 4, 5, 9):
+            for outer in ("strong", "semicomplete"):
+                for p in (0.0, 0.3):
+                    argv = ["composition", "--t", str(t), "--blob-min", "1"]
+                    argv += ["--blob-max", "4", "--blob-arc-prob", str(p)]
+                    argv += ["--outer", outer, "--seed", str(seed)]
+                    yield argv, lambda t=t, p=p, outer=outer, seed=seed: (
+                        serialize_composition(gen_composition(t, (1, 4), p, outer, seed))
+                    )
+    for seed in range(20):
+        for t in (1, 2, 3, 5, 8):
+            for p in (0.0, 0.25, 1.0):
+                argv = ["semicomplete", "--t", str(t), "--bidir-prob", str(p)]
+                yield argv + ["--seed", str(seed)], lambda t=t, p=p, seed=seed: (
+                    serialize_digraph(gen_semicomplete(t, p, seed))
+                )
+        for t in (2, 3, 4, 5, 7):
+            cap = t * (t - 1) - t
+            for extra in (0, cap // 2, cap):
+                argv = ["strong", "--t", str(t), "--extra-arcs", str(extra)]
+                yield argv + ["--seed", str(seed)], lambda t=t, extra=extra, seed=seed: (
+                    serialize_digraph(gen_strong_digraph(t, extra, seed))
+                )
+    big = [("250", "1", "3", "0.0", "semicomplete", "7"), ("300", "2", "3", "0.2", "strong", "8")]
+    for t, lo, hi, p, outer, seed in big:
+        argv = ["composition", "--t", t, "--blob-min", lo, "--blob-max", hi]
+        argv += ["--blob-arc-prob", p, "--outer", outer, "--seed", seed]
+        yield argv, lambda t=t, lo=lo, hi=hi, p=p, outer=outer, seed=seed: (
+            serialize_composition(
+                gen_composition(int(t), (int(lo), int(hi)), float(p), outer, int(seed))
+            )
+        )
+
+
+# sha256 over the grid's outputs, each followed by a newline as `gen`
+# prints it.  Any change to what the generators draw changes it.
+PINNED_GRID_DIGEST = (
+    "72114900c6b413d594d8c9d0f4b756550e524c95a5b9d90d53782091eeb372b9"
+)
+
+
+def test_generator_outputs_are_pinned():
+    digest = hashlib.sha256()
+    for _, make in _pinned_grid():
+        digest.update((make() + "\n").encode())
+    assert digest.hexdigest() == PINNED_GRID_DIGEST
+
+
+def test_gen_cli_outputs_are_pinned(capsys):
+    digest = hashlib.sha256()
+    for argv, _ in _pinned_grid():
+        assert main(["gen", *argv]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == PINNED_GRID_DIGEST
