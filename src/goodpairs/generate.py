@@ -4,27 +4,84 @@ All randomness comes from numpy's PCG64 with an explicit integer seed, so
 the same seed yields the same instance on every platform.  Strong digraphs
 are cycle-seeded (a Hamiltonian cycle plus random chords), which is biased
 but guarantees strongness without rejection.
+
+Each instance is defined by scalar draws: ``rng.integers(t)`` for each end
+of a chord, ``rng.random()`` and, unless the pair is bidirectional,
+``rng.integers(2)`` for each semicomplete pair, and ``rng.random()`` for
+each ordered pair of a blob.  The generators read PCG64's raw 64-bit words
+in bulk, decode them as numpy decodes those calls, and leave the bit
+generator where the calls leave it.  ``tests/bruteforce.py`` keeps the
+scalar loops as the references.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .composition import CompositionSpec, is_semicomplete
 from .digraph import DiGraph, is_strong
 
+_LOW_HALF = np.uint64(0xFFFFFFFF)
+
 
 def _rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def _digraph(n: int, keys: np.ndarray) -> DiGraph:
+    """The digraph whose arcs are the sorted int64 keys ``tail * n + head``."""
+    tails, heads = np.divmod(keys, n)
+    return DiGraph.from_sorted_arrays(n, tails, heads)
+
+
+def _waiting_half(state: dict) -> int | None:
+    """The 32-bit half that the next ``integers`` call reads first, if any."""
+    return state["uinteger"] if state["has_uint32"] else None
+
+
+def _hand_off(bg: np.random.BitGenerator, state: dict, words: int, half: int | None) -> None:
+    """Leave ``bg`` where the scalar calls leave it: ``words`` raw words past
+    ``state``, with ``half`` (or none) waiting for the next ``integers``."""
+    bg.state = state
+    bg.advance(words)
+    after = bg.state
+    after["has_uint32"], after["uinteger"] = (0, 0) if half is None else (1, half)
+    bg.state = after
+
+
+def _halves(raw: np.ndarray, waiting: int | None) -> np.ndarray:
+    """The 32-bit halves that successive ``integers`` calls read: the one
+    waiting, if any, then the low and the high half of each raw word."""
+    halves = np.column_stack((raw & _LOW_HALF, raw >> np.uint64(32))).ravel()
+    if waiting is None:
+        return halves
+    return np.concatenate((np.array([waiting], np.uint64), halves))
+
+
+def _bounded(halves: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """What successive ``integers(k)`` calls, k <= 2**32, return from the
+    ``halves``, and the index of the half each of them took.  Lemire's
+    method: a half x gives ``(x * k) >> 32``, unless
+    ``(x * k) mod 2**32 < (2**32 - k) mod k`` rejects it."""
+    scaled = halves * np.uint64(k)
+    taken = np.flatnonzero((scaled & _LOW_HALF) >= np.uint64((2**32 - k) % k))
+    return (scaled[taken] >> np.uint64(32)).astype(np.int64), taken
 
 
 def gen_strong_digraph(t: int, extra_arcs: int, seed: int) -> DiGraph:
     """Hamiltonian cycle on t vertices plus ``extra_arcs`` random chords."""
     rng = _rng(seed)
-    return DiGraph(t, _strong_arcs(rng, t, extra_arcs))
+    return _digraph(t, _strong_arcs(rng, t, extra_arcs))
 
 
-def _strong_arcs(rng: np.random.Generator, t: int, extra_arcs: int) -> set[tuple[int, int]]:
+def _strong_arcs(rng: np.random.Generator, t: int, extra_arcs: int) -> np.ndarray:
+    """Sorted arc keys of the cycle 0 -> 1 -> ... -> 0 plus ``extra_arcs``
+    chords: pairs (u, v) of ``rng.integers(t)`` draws, skipping loops, cycle
+    arcs and repeats, until that many are found."""
     if t < 2:
         raise ValueError(f"need at least 2 vertices, got {t}")
     capacity = t * (t - 1) - t
@@ -33,42 +90,127 @@ def _strong_arcs(rng: np.random.Generator, t: int, extra_arcs: int) -> set[tuple
             f"extra_arcs={extra_arcs} out of range: at most {capacity} non-cycle "
             f"arcs exist on {t} vertices"
         )
-    arcs = {(v, (v + 1) % t) for v in range(t)}
-    chords: set[tuple[int, int]] = set()
-    while len(chords) < extra_arcs:
-        u = int(rng.integers(t))
-        v = int(rng.integers(t))
-        if u == v or v == (u + 1) % t or (u, v) in chords:
-            continue
-        chords.add((u, v))
-    return arcs | chords
+    vertices = np.arange(t, dtype=np.int64)
+    cycle = vertices * t + (vertices + 1) % t
+    if extra_arcs == 0:
+        return cycle
+    bg = rng.bit_generator
+    state = bg.state
+    waiting = _waiting_half(state)
+    # Pairs expected until extra_arcs distinct chords are found (one word
+    # gives about one pair), with room for the spread.
+    valid_pairs = capacity * math.log((capacity + 0.5) / (capacity - extra_arcs + 0.5))
+    words = int(valid_pairs * t / (t - 2) * 1.02 + 4 * math.sqrt(valid_pairs)) + 16
+    while True:
+        bg.state = state
+        halves = _halves(bg.random_raw(words), waiting)
+        ends, taken = _bounded(halves, t)
+        u, v = ends[0 : len(ends) - 1 : 2], ends[1::2]
+        valid = np.flatnonzero((u != v) & (v != (u + 1) % t))
+        chords = u[valid] * t + v[valid]
+        _, first = np.unique(chords, return_index=True)
+        if len(first) >= extra_arcs:
+            break
+        words *= 2
+    kept = np.sort(first)[:extra_arcs]
+    # The half that ended the last chord, and the fresh halves read up to it.
+    last = taken[2 * valid[kept[-1]] + 1]
+    fresh = int(last) + 1 - (waiting is not None)
+    _hand_off(bg, state, (fresh + 1) // 2, int(halves[last + 1]) if fresh % 2 else None)
+    return np.sort(np.concatenate((cycle, chords[kept])))
 
 
 def gen_semicomplete(t: int, bidirectional_probability: float, seed: int) -> DiGraph:
     """Random semicomplete digraph: each pair gets both arcs with the given
     probability, otherwise a single uniformly random direction."""
     rng = _rng(seed)
-    return DiGraph(t, _semicomplete_arcs(rng, t, bidirectional_probability))
+    return _digraph(t, _semicomplete_arcs(rng, t, bidirectional_probability))
 
 
-def _semicomplete_arcs(
-    rng: np.random.Generator, t: int, p_bidir: float
-) -> set[tuple[int, int]]:
+def _semicomplete_arcs(rng: np.random.Generator, t: int, p_bidir: float) -> np.ndarray:
+    """Sorted arc keys of a semicomplete digraph on t vertices.  Each pair
+    x < y, in ascending order, takes ``rng.random() < p_bidir`` for both
+    arcs, and otherwise ``rng.integers(2)``: 1 for (x, y), 0 for (y, x)."""
     if t < 1:
         raise ValueError(f"need at least 1 vertex, got {t}")
     if not (0.0 <= p_bidir <= 1.0):
         raise ValueError(f"probability {p_bidir} not in [0, 1]")
-    arcs: set[tuple[int, int]] = set()
-    for x in range(t):
-        for y in range(x + 1, t):
-            if rng.random() < p_bidir:
-                arcs.add((x, y))
-                arcs.add((y, x))
-            elif int(rng.integers(2)):
-                arcs.add((x, y))
-            else:
-                arcs.add((y, x))
-    return arcs
+    pairs = t * (t - 1) // 2
+    if pairs == 0:
+        return np.empty(0, np.int64)
+    bg = rng.bit_generator
+    state = bg.state
+    waiting = _waiting_half(state)
+    # random() is a word's top 53 bits times 2**-53, so it is below p iff
+    # those bits are below ceil(p * 2**53).
+    below = np.uint64(math.ceil(p_bidir * 2.0**53))
+    # A pair takes one word, plus one every other non-bidirectional pair.
+    mean = pairs * (1.5 - p_bidir / 2)
+    raw = bg.random_raw(int(mean + 6 * math.sqrt(mean)) + 16)
+    while (decoded := _decode_pairs(raw, pairs, below, waiting)) is None:
+        raw = np.concatenate((raw, bg.random_raw(len(raw))))
+    both, forward, used, half = decoded
+    _hand_off(bg, state, used, half)
+    arcs = np.zeros((t, t), dtype=bool)
+    upper = np.triu(np.ones((t, t), dtype=bool), 1)
+    arcs[upper] = both | forward
+    arcs.T[upper] = both | ~forward
+    return np.flatnonzero(arcs)
+
+
+def _decode_pairs(
+    raw: np.ndarray, pairs: int, below: np.uint64, waiting: int | None
+) -> tuple[np.ndarray, np.ndarray, int, int | None] | None:
+    """Decode the semicomplete pairs from the raw words: per pair whether it
+    is bidirectional, and if not whether it points forward; then the words
+    used and the half left waiting.  None when ``raw`` runs out first.
+
+    A word is a pair's `random` word unless it is an `integers(2)` word: the
+    word after a single-direction pair that found no half waiting.  The
+    single-direction pairs alternate between drawing that word and taking
+    the half it left, so the drawing ones are a chain over the words whose
+    `random` value would be single: from the i-th such word, the next
+    drawing one is the (i + 2)-th, or the (i + 3)-th when the word it drew
+    would itself be single.  One Python pass follows the chain."""
+    single = (raw >> np.uint64(11)) >= below
+    candidates = np.flatnonzero(single)
+    step = np.append(single[candidates[:-1] + 1], False).view(np.uint8) + 2
+    step = step.tobytes()
+    drawing = bytearray(len(candidates))
+    i, n = int(waiting is not None), len(candidates)
+    while i < n:
+        drawing[i] = 1
+        i += step[i]
+    random_word = np.ones(len(raw) + 1, dtype=bool)
+    random_word[candidates[np.frombuffer(drawing, dtype=bool)] + 1] = False
+    pair_words = np.flatnonzero(random_word[:-1])[:pairs]
+    if len(pair_words) < pairs:
+        return None
+    directed = single[pair_words]
+    at = pair_words[directed]
+    # Drawing pairs read the low half of the word after them; each taking
+    # pair reads the high half of the previous drawing pair's word.
+    draws = np.arange(waiting is not None, len(at), 2)
+    used = max(int(pair_words[-1]) + 1, int(at[draws[-1]]) + 2 if len(draws) else 0)
+    if used > len(raw):
+        return None
+    drawn = raw[at[draws] + 1]
+    # integers(2) is a half's top bit: bit 31 of the low half, 63 of the high.
+    bits = np.empty(len(at), dtype=np.uint64)
+    bits[draws] = (drawn >> np.uint64(31)) & np.uint64(1)
+    takes = draws[draws + 1 < len(at)] + 1
+    bits[takes] = drawn[: len(takes)] >> np.uint64(63)
+    if waiting is not None and len(at):
+        bits[0] = waiting >> 31
+    forward = np.zeros(pairs, dtype=bool)
+    forward[directed] = bits.astype(bool)
+    if (len(at) + (waiting is not None)) % 2 == 0:
+        half = None
+    elif len(draws):
+        half = int(drawn[-1] >> np.uint64(32))
+    else:
+        half = waiting
+    return ~directed, forward, used, half
 
 
 # Internal knobs of gen_composition's outer draw, documented in the README:
@@ -96,24 +238,30 @@ def gen_composition(
     if outer_kind == "strong":
         capacity = t * (t - 1) - t
         extra = int(rng.integers(0, min(capacity, 2 * t) + 1))
-        outer = DiGraph(t, _strong_arcs(rng, t, extra))
+        outer = _digraph(t, _strong_arcs(rng, t, extra))
     elif outer_kind == "semicomplete":
         while True:
-            outer = DiGraph(t, _semicomplete_arcs(rng, t, SEMICOMPLETE_OUTER_BIDIR))
+            outer = _digraph(t, _semicomplete_arcs(rng, t, SEMICOMPLETE_OUTER_BIDIR))
             if is_strong(outer):
                 break
     else:
         raise ValueError(f"outer_kind must be 'strong' or 'semicomplete', got {outer_kind!r}")
-    sizes = [int(rng.integers(lo, hi + 1)) for _ in range(t)]
-    blobs = []
-    for n in sizes:
-        arcs = [
-            (u, v)
-            for u in range(n)
-            for v in range(n)
-            if u != v and rng.random() < blob_arc_probability
-        ]
-        blobs.append(DiGraph(n, arcs))
+    sizes = rng.integers(lo, hi + 1, size=t).tolist()
+    blobs = _blob_digraphs(rng, sizes, blob_arc_probability)
     if outer_kind == "semicomplete" and not is_semicomplete(outer):
         raise RuntimeError(f"generated outer digraph for seed {seed} is not semicomplete")
     return CompositionSpec(outer, blobs)
+
+
+def _blob_digraphs(rng: np.random.Generator, sizes: list[int], p: float) -> list[DiGraph]:
+    """One digraph per size n, with each arc (u, v), u != v in ascending
+    order, kept when its ``rng.random()`` draw is below p."""
+    hits = rng.random(sum(n * (n - 1) for n in sizes)) < p
+    blobs = []
+    start = 0
+    for n in sizes:
+        pairs = np.arange(n * n)
+        pairs = pairs[pairs % (n + 1) != 0]
+        blobs.append(_digraph(n, pairs[hits[start : start + len(pairs)]]))
+        start += len(pairs)
+    return blobs

@@ -3,8 +3,8 @@
 Everything here is deliberately naive and self-contained: reachability by
 hand-rolled BFS over arc sets, branching candidates by iterating raw arc
 subsets, and per-item loops as the references for the branching verifier,
-the parsers' arc-list checks, the writers, `materialize` and the
-semicomplete test.
+the parsers' arc-list checks, the writers, `materialize`, the
+semicomplete test and the seeded generators' draws.
 Keep it that way; these functions must not share search logic with the
 code they check.
 """
@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import combinations, product
+
+import numpy as np
 
 from goodpairs import CompositionSpec, DiGraph, GoodPair
 
@@ -184,6 +186,82 @@ def reference_is_semicomplete(d: DiGraph) -> bool:
                 return False
     return True
 
+
+
+# The seeded generators' draws as one scalar numpy call per draw; the
+# generators decode the same draws from raw words in bulk.
+
+
+def reference_strong_arcs(rng, t: int, extra_arcs: int) -> set[tuple[int, int]]:
+    if t < 2:
+        raise ValueError(f"need at least 2 vertices, got {t}")
+    capacity = t * (t - 1) - t
+    if not (0 <= extra_arcs <= capacity):
+        raise ValueError(
+            f"extra_arcs={extra_arcs} out of range: at most {capacity} non-cycle "
+            f"arcs exist on {t} vertices"
+        )
+    arcs = {(v, (v + 1) % t) for v in range(t)}
+    chords: set[tuple[int, int]] = set()
+    while len(chords) < extra_arcs:
+        u = int(rng.integers(t))
+        v = int(rng.integers(t))
+        if u == v or v == (u + 1) % t or (u, v) in chords:
+            continue
+        chords.add((u, v))
+    return arcs | chords
+
+
+def reference_semicomplete_arcs(rng, t: int, p_bidir: float) -> set[tuple[int, int]]:
+    if t < 1:
+        raise ValueError(f"need at least 1 vertex, got {t}")
+    if not (0.0 <= p_bidir <= 1.0):
+        raise ValueError(f"probability {p_bidir} not in [0, 1]")
+    arcs: set[tuple[int, int]] = set()
+    for x in range(t):
+        for y in range(x + 1, t):
+            if rng.random() < p_bidir:
+                arcs.add((x, y))
+                arcs.add((y, x))
+            elif int(rng.integers(2)):
+                arcs.add((x, y))
+            else:
+                arcs.add((y, x))
+    return arcs
+
+
+def reference_blobs(rng, t: int, lo: int, hi: int, blob_arc_probability: float) -> list[DiGraph]:
+    sizes = [int(rng.integers(lo, hi + 1)) for _ in range(t)]
+    blobs = []
+    for n in sizes:
+        arcs = [
+            (u, v)
+            for u in range(n)
+            for v in range(n)
+            if u != v and rng.random() < blob_arc_probability
+        ]
+        blobs.append(DiGraph(n, arcs))
+    return blobs
+
+
+def reference_composition(t, blob_size_range, blob_arc_probability, outer_kind, seed):
+    """`gen_composition` over the scalar references: the spec, the number of
+    semicomplete outers drawn, and the generator after the last draw."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    draws = 0
+    if outer_kind == "strong":
+        capacity = t * (t - 1) - t
+        extra = int(rng.integers(0, min(capacity, 2 * t) + 1))
+        outer = DiGraph(t, reference_strong_arcs(rng, t, extra))
+    else:
+        while True:
+            draws += 1
+            arcs = reference_semicomplete_arcs(rng, t, 0.25)
+            if len(reachable_from(arcs, t, 0)) == t and all_reach(arcs, t, 0):
+                break
+        outer = DiGraph(t, arcs)
+    blobs = reference_blobs(rng, t, *blob_size_range, blob_arc_probability)
+    return CompositionSpec(outer, blobs), draws, rng
 
 def mutually_reachable(d: DiGraph, x: int, y: int) -> bool:
     return y in reachable_from(d.arcs, d.vertex_count, x) and x in reachable_from(

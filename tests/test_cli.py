@@ -361,6 +361,15 @@ def test_gen_invalid_params(capsys):
     assert main(["gen", "strong", "--t", "4", "--extra-arcs", "12"]) == 2
 
 
+@pytest.mark.parametrize("family", ["strong", "semicomplete", "composition"])
+def test_gen_negative_seed_is_named(family, capsys):
+    assert main(["gen", family, "--t", "4", "--seed", "-1"]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: seed must be a non-negative integer, got -1\n",
+    )
+
+
 def test_ears_is_an_unknown_subcommand(tmp_path, capsys):
     p = tmp_path / "c3.json"
     p.write_text(C3)
