@@ -188,28 +188,16 @@ def _decode_pairs(
         return None
     directed = single[pair_words]
     at = pair_words[directed]
-    # Drawing pairs read the low half of the word after them; each taking
-    # pair reads the high half of the previous drawing pair's word.
+    # The single-direction pairs read, in order, the half waiting and then
+    # both halves of each word drawn; integers(2) is a half's top bit.
     draws = np.arange(waiting is not None, len(at), 2)
     used = max(int(pair_words[-1]) + 1, int(at[draws[-1]]) + 2 if len(draws) else 0)
     if used > len(raw):
         return None
-    drawn = raw[at[draws] + 1]
-    # integers(2) is a half's top bit: bit 31 of the low half, 63 of the high.
-    bits = np.empty(len(at), dtype=np.uint64)
-    bits[draws] = (drawn >> np.uint64(31)) & np.uint64(1)
-    takes = draws[draws + 1 < len(at)] + 1
-    bits[takes] = drawn[: len(takes)] >> np.uint64(63)
-    if waiting is not None and len(at):
-        bits[0] = waiting >> 31
+    halves = _halves(raw[at[draws] + 1], waiting)
     forward = np.zeros(pairs, dtype=bool)
-    forward[directed] = bits.astype(bool)
-    if (len(at) + (waiting is not None)) % 2 == 0:
-        half = None
-    elif len(draws):
-        half = int(drawn[-1] >> np.uint64(32))
-    else:
-        half = waiting
+    forward[directed] = (halves[: len(at)] >> np.uint64(31)).astype(bool)
+    half = int(halves[len(at)]) if len(halves) > len(at) else None
     return ~directed, forward, used, half
 
 
