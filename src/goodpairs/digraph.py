@@ -87,7 +87,7 @@ class DiGraph:
     ``heads``, read-only int arrays sorted by (tail, head), int64 unless some
     id does not fit (then dtype object, exact).  ``DiGraph(n, arcs)`` starts
     from the set; `from_sorted_arrays` starts from the arrays, which is how
-    the parsers build digraphs.  The neighbour lists are derived on first
+    the parsers and the generators build digraphs.  The neighbour lists are derived on first
     use too, as tuples (`out_adj`, `in_adj`) for the Python loops and as
     CSR arrays (`out_csr`, `in_csr`) for searches of large digraphs.
     Digraphs compare by vertex count and arcs.
@@ -115,7 +115,7 @@ class DiGraph:
     ) -> DiGraph:
         """Digraph with the arcs ``(tails[k], heads[k])``, taken as given:
         sorted by (tail, head), without repeats or loops, and in range, as
-        the parsers leave them."""
+        the parsers and the generators leave them."""
         d = object.__new__(cls)
         tails.flags.writeable = heads.flags.writeable = False
         object.__setattr__(d, "vertex_count", vertex_count)
