@@ -3,7 +3,8 @@
 Exit codes, uniform across subcommands:
   0  success (a pair was found / the input verified / output was written)
   1  certified absence of a good pair
-  2  invalid input (parse error or violated precondition)
+  2  invalid input (parse error or violated precondition), or an input too
+     large for memory
   3  undecided (only from ``oracle``: exact-search size cap exceeded)
 
 ``decide-sc`` decides in time linear in the root's closed-neighbourhood
@@ -231,7 +232,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (gio.FormatError, ValueError, OSError) as exc:
+    except (gio.FormatError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

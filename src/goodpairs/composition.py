@@ -8,16 +8,16 @@ blob i occupying the contiguous range ``offset(i) .. offset(i) + n_i - 1``.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 from operator import attrgetter
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .digraph import CheckReport, DiGraph, _members, is_strong
+from .digraph import _KEYED_VERTICES_MAX, CheckReport, DiGraph, _members, is_strong
+
+INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class BlobVertex(NamedTuple):
@@ -30,16 +30,20 @@ class BlobVertex(NamedTuple):
         return f"{self.blob}.{self.layer}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompositionSpec:
-    """An outer digraph plus one blob digraph per outer vertex.
-
-    Arcs of the composition are all blob-internal arcs plus, for every outer
-    arc (i, p), every arc from a vertex of blob i to a vertex of blob p.
+    """An outer digraph on t vertices plus one blob per outer vertex, held as
+    ``sizes``, a read-only int64 array with the order of blob i at
+    ``sizes[i-1]``, and ``inner``, one digraph on all N global ids, N within
+    int64, whose arcs are exactly the blob-internal arcs.  Arcs of the
+    composition are those plus, for every outer arc (i, p), every arc from a
+    vertex of blob i to a vertex of blob p.  ``blobs``, one digraph per blob
+    in its own ids, is derived on first use.
     """
 
     outer: DiGraph
-    blobs: tuple[DiGraph, ...]
+    sizes: np.ndarray
+    inner: DiGraph
 
     def __init__(self, outer: DiGraph, blobs: Iterable[DiGraph]) -> None:
         blobs = tuple(blobs)
@@ -49,27 +53,65 @@ class CompositionSpec:
             raise ValueError(
                 f"expected {outer.vertex_count} blob digraphs, got {len(blobs)}"
             )
-        if min(map(attrgetter("vertex_count"), blobs)) < 1:
-            i = next(i for i, h in enumerate(blobs, start=1) if h.vertex_count < 1)
-            raise ValueError(f"blob {i} must have at least one vertex")
-        object.__setattr__(self, "outer", outer)
-        object.__setattr__(self, "blobs", blobs)
+        try:
+            sizes = np.fromiter(map(attrgetter("vertex_count"), blobs), np.int64, len(blobs))
+            # Orders of at least 1 that pass int64 wrap their running total below 0.
+            fits = sizes.min() >= 1 and np.cumsum(sizes).min() >= 0
+        except OverflowError:  # an order beyond int64
+            fits = False
+        if not fits:
+            raise ValueError(_order_problem(blobs))
+        counts = np.fromiter(map(attrgetter("arc_count"), blobs), np.int64, len(blobs))
+        with_arcs = [blobs[i] for i in np.flatnonzero(counts).tolist()]
+        tails = np.concatenate([np.empty(0, np.int64), *map(attrgetter("tails"), with_arcs)])
+        heads = np.concatenate([np.empty(0, np.int64), *map(attrgetter("heads"), with_arcs)])
+        inner = inner_digraph(sizes, counts, tails, heads)
+        self.__dict__.update(outer=outer, sizes=sizes, inner=inner)
+        sizes.flags.writeable = False
+
+    @classmethod
+    def from_arrays(cls, outer: DiGraph, sizes: np.ndarray, inner: DiGraph) -> CompositionSpec:
+        """The spec with these fields, taken as given: t int64 orders of at
+        least 1 that sum within int64, and int64 arcs inside the blobs."""
+        spec = object.__new__(cls)
+        spec.__dict__.update(outer=outer, sizes=sizes, inner=inner)
+        sizes.flags.writeable = False
+        return spec
 
     @property
     def blob_count(self) -> int:
         return self.outer.vertex_count
 
     @cached_property
-    def offsets(self) -> tuple[int, ...]:
+    def offsets(self) -> np.ndarray:
         """offsets[i-1] is the global id of (i, 1); a trailing total is kept."""
-        return (0, *accumulate(h.vertex_count for h in self.blobs))
+        offsets = np.concatenate(([0], np.cumsum(self.sizes)))
+        offsets.flags.writeable = False
+        return offsets
 
     @property
     def total_vertices(self) -> int:
-        return self.offsets[-1]
+        return self.inner.vertex_count
+
+    vertex_count = total_vertices
+
+    @cached_property
+    def blobs(self) -> tuple[DiGraph, ...]:
+        """One digraph per blob, in its own ids, cut out of ``inner``."""
+        counts, tails, heads = self.local_arcs()
+        ends = np.cumsum(counts).tolist()
+        pieces = zip(self.sizes.tolist(), [0, *ends], ends)
+        return tuple(DiGraph.from_sorted_arrays(n, tails[a:b], heads[a:b]) for n, a, b in pieces)
+
+    def local_arcs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The blob arcs as `inner_digraph` takes them: per blob its arc count,
+        and the arcs, blob by blob, in their blob's own ids."""
+        counts = np.diff(np.searchsorted(self.inner.tails, self.offsets))
+        base = np.repeat(self.offsets[:-1], counts)
+        return counts, self.inner.tails - base, self.inner.heads - base
 
     def blob_size(self, blob: int) -> int:
-        return self.blobs[blob - 1].vertex_count
+        return int(self.sizes[blob - 1])
 
     def check_blob_vertex(self, bv: BlobVertex) -> None:
         if not (1 <= bv.blob <= self.blob_count):
@@ -82,50 +124,33 @@ class CompositionSpec:
 
     def global_id(self, bv: BlobVertex) -> int:
         self.check_blob_vertex(bv)
-        return self.offsets[bv.blob - 1] + bv.layer - 1
+        return int(self.offsets[bv.blob - 1]) + bv.layer - 1
 
     def blob_vertex(self, global_id: int) -> BlobVertex:
         if not (0 <= global_id < self.total_vertices):
             raise ValueError(
                 f"global id {global_id} out of range 0..{self.total_vertices - 1}"
             )
-        blob = bisect_right(self.offsets, global_id)
-        return BlobVertex(blob, global_id - self.offsets[blob - 1] + 1)
+        blob = int(np.searchsorted(self.offsets, global_id, side="right"))
+        return BlobVertex(blob, global_id - int(self.offsets[blob - 1]) + 1)
 
     def has_arc(self, a: BlobVertex, b: BlobVertex) -> bool:
         """Implicit arc query; never materializes the composition."""
-        self.check_blob_vertex(a)
-        self.check_blob_vertex(b)
+        u, v = self.global_id(a), self.global_id(b)
         if a.blob != b.blob:
             return self.outer.has_arc(a.blob - 1, b.blob - 1)
-        return self.blobs[a.blob - 1].has_arc(a.layer - 1, b.layer - 1)
+        return self.inner.has_arc(u, v)
 
     @cached_property
     def blob_of(self) -> np.ndarray:
         """blob_of[v] is the outer vertex (0-based) whose blob holds global id v."""
-        sizes = [h.vertex_count for h in self.blobs]
-        return np.repeat(np.arange(self.blob_count, dtype=np.int64), sizes)
+        return np.repeat(np.arange(self.blob_count, dtype=np.int64), self.sizes)
 
     @cached_property
     def _outer_keys(self) -> np.ndarray:
         """Sorted ``i * t + p`` over the outer arcs (i, p): the arcs are
         sorted by (i, p) and p < t, so the keys come out sorted."""
         return self.outer.tails * self.blob_count + self.outer.heads
-
-    @cached_property
-    def _blob_keys(self) -> np.ndarray:
-        """Sorted ``u * N + v`` over the blob-internal arcs (u, v), in global
-        ids, N being the composition order; blob by blob they come out
-        sorted."""
-        n = self.total_vertices
-        return np.fromiter(
-            (
-                (base + u) * n + base + v
-                for base, h in zip(self.offsets, self.blobs)
-                for u, v in h.arcs_in_order()
-            ),
-            np.int64,
-        )
 
     def has_arcs(self, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
         """Implicit arc query on global ids: a mask over the pairs
@@ -141,36 +166,45 @@ class CompositionSpec:
         found = _members(self._outer_keys, keys)
         del keys
         if same.any():
-            inner = tails[same] * self.total_vertices + heads[same]
-            found[same] = _members(self._blob_keys, inner)
+            found[same] = self.inner.has_arcs(tails[same], heads[same])
         return found
 
     def arc_count(self) -> int:
-        """Arc count of the materialized composition, from the size formula."""
-        sizes = [h.vertex_count for h in self.blobs]
-        internal = sum(h.arc_count for h in self.blobs)
-        outer = zip(self.outer.tails.tolist(), self.outer.heads.tolist())
-        cross = sum(sizes[i] * sizes[p] for i, p in outer)
-        return internal + cross
+        """Arc count of the materialized composition, from the size formula;
+        at most N^2, so exact in int64 up to `_KEYED_VERTICES_MAX` vertices."""
+        sizes = self.sizes
+        if self.total_vertices > _KEYED_VERTICES_MAX:
+            sizes = sizes.astype(object)
+        cross = sizes[self.outer.tails] * sizes[self.outer.heads]
+        return self.inner.arc_count + int(cross.sum())
 
-    def implicit_view(self) -> ImplicitCompositionView:
-        return ImplicitCompositionView(self)
+    def implicit_view(self) -> CompositionSpec:
+        """The spec itself: with ``vertex_count`` and ``has_arcs`` it is a
+        verifier host, so branchings are checked without materializing it."""
+        return self
 
 
-@dataclass(frozen=True)
-class ImplicitCompositionView:
-    """A verifier host (``vertex_count`` and ``has_arcs``) for a composition,
-    so branchings are checked without materializing it.  The arrays behind
-    ``has_arcs`` are cached on the spec, so fresh views stay cheap."""
+def inner_digraph(
+    sizes: np.ndarray, counts: np.ndarray, tails: np.ndarray, heads: np.ndarray
+) -> DiGraph:
+    """The digraph on the global ids of blobs of orders ``sizes`` whose blob
+    i has the next ``counts[i]`` arcs ``(tails[k], heads[k])``, sorted, in
+    its own ids."""
+    ends = np.cumsum(sizes)
+    base = np.repeat(ends - sizes, counts)
+    return DiGraph.from_sorted_arrays(int(ends[-1]), tails + base, heads + base)
 
-    spec: CompositionSpec
 
-    @property
-    def vertex_count(self) -> int:
-        return self.spec.total_vertices
-
-    def has_arcs(self, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
-        return self.spec.has_arcs(tails, heads)
+def _order_problem(blobs: Sequence[DiGraph]) -> str:
+    """The first blob without a vertex, or at which the composition order
+    passes int64, and what is wrong with it."""
+    total = 0
+    for i, h in enumerate(blobs, start=1):
+        total += h.vertex_count
+        if h.vertex_count < 1:
+            return f"blob {i} must have at least one vertex"
+        if total > INT64_MAX:
+            return f"blob {i}: the composition order passes int64 ({total} vertices so far)"
 
 
 DEFAULT_MATERIALIZE_ARC_LIMIT = 2_000_000
@@ -184,16 +218,13 @@ _TUPLE_MATERIALIZE_MAX_ARCS = 512
 
 def _block_arcs(spec: CompositionSpec) -> Iterator[tuple[int, int]]:
     """The composition's arcs as global ``(tail, head)`` pairs, unordered:
-    each blob's arcs shifted to its ids, then one block per outer arc."""
-    offsets = spec.offsets
-    for base, h in zip(offsets, spec.blobs):
-        for u, v in h.arcs:
-            yield base + u, base + v
-    sizes = [h.vertex_count for h in spec.blobs]
-    for i, p in spec.outer.arcs:
-        bi, bp = offsets[i], offsets[p]
-        for a in range(bi, bi + sizes[i]):
-            for b in range(bp, bp + sizes[p]):
+    the blob arcs, then one block per outer arc."""
+    yield from zip(spec.inner.tails.tolist(), spec.inner.heads.tolist())
+    offsets = spec.offsets.tolist()
+    for i, p in zip(spec.outer.tails.tolist(), spec.outer.heads.tolist()):
+        heads = range(offsets[p], offsets[p + 1])
+        for a in range(offsets[i], offsets[i + 1]):
+            for b in heads:
                 yield a, b
 
 
@@ -223,8 +254,7 @@ def materialize(
         )
     if expected < _TUPLE_MATERIALIZE_MAX_ARCS:
         return DiGraph(spec.total_vertices, _block_arcs(spec))
-    sizes = np.array([h.vertex_count for h in spec.blobs], dtype=np.int64)
-    offsets = np.array(spec.offsets[:-1], dtype=np.int64)
+    sizes, offsets = spec.sizes, spec.offsets
     # Outer arc e = (i, p) gives the block of sizes[i] * sizes[p] arcs
     # (offsets[i] + a, offsets[p] + b), numbered a * sizes[p] + b.
     outer_tails, outer_heads = spec.outer.tails, spec.outer.heads
@@ -232,13 +262,8 @@ def materialize(
     arc = np.arange(int(block.sum())) - np.repeat(np.cumsum(block) - block, block)
     edge = np.repeat(np.arange(len(block)), block)
     a, b = np.divmod(arc, sizes[outer_heads][edge])
-    tails = [offsets[outer_tails][edge] + a]
-    heads = [offsets[outer_heads][edge] + b]
-    for base, h in zip(spec.offsets, spec.blobs):
-        if h.arc_count:
-            tails.append(h.tails + base)
-            heads.append(h.heads + base)
-    tails, heads = np.concatenate(tails), np.concatenate(heads)
+    tails = np.concatenate((offsets[outer_tails][edge] + a, spec.inner.tails))
+    heads = np.concatenate((offsets[outer_heads][edge] + b, spec.inner.heads))
     order = np.lexsort((heads, tails))
     return DiGraph.from_sorted_arrays(spec.total_vertices, tails[order], heads[order])
 
@@ -266,7 +291,6 @@ def validate_for_construction(spec: CompositionSpec) -> CheckReport:
         )
     if not is_strong(spec.outer):
         problems.append("outer digraph is not strong")
-    for i, h in enumerate(spec.blobs, start=1):
-        if h.vertex_count < 2:
-            problems.append(f"blob {i} has fewer than 2 vertices")
+    small = (np.flatnonzero(spec.sizes < 2) + 1).tolist()
+    problems += [f"blob {i} has fewer than 2 vertices" for i in small]
     return CheckReport(not problems, tuple(problems))

@@ -138,8 +138,8 @@ def extend_layers(
     rb = root.blob - 1
     if out_parent[2 * rb] != -1:
         raise ValueError(f"skeleton pair is not rooted at blob {root.blob}")
-    offs = np.asarray(spec.offsets, dtype=np.int64)
-    small = np.flatnonzero(np.diff(offs) < 2)
+    offs = spec.offsets
+    small = np.flatnonzero(spec.sizes < 2)
     if len(small):
         raise ValueError(f"blob {small[0] + 1} has fewer than 2 vertices")
 

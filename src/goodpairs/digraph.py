@@ -87,13 +87,15 @@ class DiGraph:
     ``heads``, read-only int arrays sorted by (tail, head), int64 unless some
     id does not fit (then dtype object, exact).  ``DiGraph(n, arcs)`` starts
     from the set; `from_sorted_arrays` starts from the arrays, which is how
-    the parsers and the generators build digraphs.  The neighbour lists are derived on first
-    use too, as tuples (`out_adj`, `in_adj`) for the Python loops and as
-    CSR arrays (`out_csr`, `in_csr`) for searches of large digraphs.
-    Digraphs compare by vertex count and arcs.
+    the parsers and the generators build digraphs.  Both set ``arc_count``.
+    The neighbour lists are derived on first use too, as tuples (`out_adj`,
+    `in_adj`) for the Python loops and as CSR arrays (`out_csr`, `in_csr`)
+    for searches of large digraphs.  Digraphs compare by vertex count and
+    arcs.
     """
 
     vertex_count: int
+    arc_count: int
 
     def __init__(self, vertex_count: int, arcs: Iterable[Arc] = ()) -> None:
         if vertex_count < 0:
@@ -107,6 +109,7 @@ class DiGraph:
                     f"arc ({u},{v}) out of range for {vertex_count} vertices"
                 )
         object.__setattr__(self, "vertex_count", vertex_count)
+        object.__setattr__(self, "arc_count", len(arc_set))
         object.__setattr__(self, "arcs", arc_set)
 
     @classmethod
@@ -119,6 +122,7 @@ class DiGraph:
         d = object.__new__(cls)
         tails.flags.writeable = heads.flags.writeable = False
         object.__setattr__(d, "vertex_count", vertex_count)
+        object.__setattr__(d, "arc_count", len(tails))
         object.__setattr__(d, "_arc_arrays", (tails, heads))
         return d
 
@@ -147,14 +151,6 @@ class DiGraph:
             return zip(self.tails.tolist(), self.heads.tolist())
         return sorted(self.arcs)
 
-    @property
-    def arc_count(self) -> int:
-        """The number of arcs, read from whichever of the arrays and the set
-        is built already."""
-        if "_arc_arrays" in self.__dict__:
-            return len(self.tails)
-        return len(self.arcs)
-
     @cached_property
     def out_adj(self) -> tuple[tuple[int, ...], ...]:
         """Out-neighbour lists, each sorted ascending."""
@@ -182,8 +178,11 @@ class DiGraph:
     @cached_property
     def in_csr(self) -> tuple[np.ndarray, np.ndarray]:
         """In-neighbour lists in the form of `out_csr`: the arcs in order of
-        head by one stable argsort, so each list keeps its tails ascending."""
-        order = np.argsort(self.heads, kind="stable")
+        head by one stable argsort, so each list keeps its tails ascending.
+        Up to 2^16 vertices it sorts the heads as uint16, which numpy
+        radix-sorts, for the same order."""
+        radix = self.vertex_count <= 1 << 16
+        order = np.argsort(self.heads.astype(np.uint16) if radix else self.heads, kind="stable")
         return _csr(self.vertex_count, self.heads[order], self.tails[order])
 
     def out_neighbours(self, v: int) -> Sequence[int]:

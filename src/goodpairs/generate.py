@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .composition import CompositionSpec, is_semicomplete
+from .composition import CompositionSpec, inner_digraph, is_semicomplete
 from .digraph import DiGraph, is_strong
 
 _LOW_HALF = np.uint64(0xFFFFFFFF)
@@ -234,22 +234,21 @@ def gen_composition(
                 break
     else:
         raise ValueError(f"outer_kind must be 'strong' or 'semicomplete', got {outer_kind!r}")
-    sizes = rng.integers(lo, hi + 1, size=t).tolist()
-    blobs = _blob_digraphs(rng, sizes, blob_arc_probability)
+    sizes = rng.integers(lo, hi + 1, size=t)
+    inner = _draw_inner(rng, sizes, blob_arc_probability)
     if outer_kind == "semicomplete" and not is_semicomplete(outer):
         raise RuntimeError(f"generated outer digraph for seed {seed} is not semicomplete")
-    return CompositionSpec(outer, blobs)
+    return CompositionSpec.from_arrays(outer, sizes, inner)
 
 
-def _blob_digraphs(rng: np.random.Generator, sizes: list[int], p: float) -> list[DiGraph]:
-    """One digraph per size n, with each arc (u, v), u != v in ascending
-    order, kept when its ``rng.random()`` draw is below p."""
-    hits = rng.random(sum(n * (n - 1) for n in sizes)) < p
-    blobs = []
-    start = 0
-    for n in sizes:
-        pairs = np.arange(n * n)
-        pairs = pairs[pairs % (n + 1) != 0]
-        blobs.append(_digraph(n, pairs[hits[start : start + len(pairs)]]))
-        start += len(pairs)
-    return blobs
+def _draw_inner(rng: np.random.Generator, sizes: np.ndarray, p: float) -> DiGraph:
+    """The blob arcs of blobs of orders ``sizes``: blob by blob, each arc
+    (u, v), u != v in ascending order, kept when its ``rng.random()`` draw
+    is below p.  Draw j of a blob of order n is for the pair
+    (u, w + (w >= u)) with u, w = divmod(j, n - 1)."""
+    pairs = sizes * (sizes - 1)
+    ends = np.cumsum(pairs)
+    hits = np.flatnonzero(rng.random(int(ends[-1])) < p)
+    blob = np.searchsorted(ends, hits, side="right")
+    u, w = np.divmod(hits - (ends - pairs)[blob], sizes[blob] - 1)
+    return inner_digraph(sizes, np.bincount(blob, minlength=len(sizes)), u, w + (w >= u))

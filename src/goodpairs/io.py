@@ -8,39 +8,38 @@ Every document is a single line of JSON:
 
 Arc lists are written sorted ascending, so parse(serialize(x)) == x and
 documents diff cleanly.  The text is what ``json.dumps`` writes, with
-``", "`` separators.  A document is its integers with fixed text between
-them.  From `ARRAY_TEXT_MIN_INTS` integers on, `_join_ints` writes all of
-them into one byte buffer, one pass per digit place; below that, and for
-ids beyond int64 (arrays of dtype object), a join over the arcs writes
-them, which keeps any id exact.
+``", "`` separators: the integers with fixed text between them.  From
+`ARRAY_TEXT_MIN_INTS` integers on, `_join_ints` writes them all into one
+byte buffer, one pass per digit place; below that, and for ids beyond int64
+(arrays of dtype object), a join over the arcs does, which keeps any id
+exact.  A composition is read into, and written from, its spec's blob
+orders and its one digraph of blob arcs in global ids.  Its order must fit
+int64; the blob at which it stops fitting is named, ``composition.H[i].n``.
 
 Texts of at least `ARRAY_READ_MIN_BYTES` are first read as canonical text,
 the writers' own form, once the white space ``json.loads`` skips around a
-document is stripped.  `_canonical_ints` takes the runs of digits out of
-the text, and the bytes before each run tell which field it belongs to.
-The text is accepted only when the writer, run on what was read, gives it
-back byte for byte, and the arcs pass the loop, range and order masks;
-``json.loads`` reads such a text the same way.  Any other text (white space
-inside, another key order, leading zeros, unsorted or bad arcs, ids over 18
-digits, ...) goes through ``json.loads``.  Its arc lists become int arrays
-sorted by (tail, head) once: C-level scans screen their items, and the
-loop, range and duplicate checks run as masks over the arrays.  Parsers
-reject loops, duplicate arcs, out-of-range ids and malformed syntax.  The
-error names the first failing arc, ``field[i]``, with the first check it
-fails in the order pair of integers, loop, range, duplicate.  Ids beyond
-int64 are kept exact, in arrays of dtype object.
+document is stripped: `_canonical_ints` takes out the runs of digits, and
+the bytes before each run tell which field it belongs to.  The text is
+accepted only when the writer, run on what was read, gives it back byte for
+byte, and the arcs pass the loop, range and order masks; ``json.loads``
+reads such a text the same way.  Any other text goes through
+``json.loads``, whose arc lists become int arrays sorted by (tail, head)
+once: C-level scans screen their items, and the loop, range and duplicate
+checks run as masks over the arrays.  Parsers reject loops, duplicate arcs,
+out-of-range ids and malformed syntax, naming the first failing arc,
+``field[i]``, with the first check it fails in the order pair of integers,
+loop, range, duplicate.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain, compress, repeat
-from operator import attrgetter
-from typing import Any, Iterable, Sequence
+from itertools import chain, repeat
+from typing import Any, Iterable
 
 import numpy as np
 
-from .composition import CompositionSpec
+from .composition import INT64_MAX, CompositionSpec, inner_digraph
 from .digraph import Arc, Branching, DiGraph, GoodPair
 
 # Attribute strings used by export_dot for the two branchings.
@@ -170,43 +169,29 @@ def _digraphs_text(values: np.ndarray, n_at: np.ndarray) -> str:
     return _join_ints(values, codes, _DOC_GAPS)
 
 
-def _digraph_docs(graphs: Sequence[DiGraph]) -> str:
-    """The documents of ``graphs`` joined by ``", "``, arcs sorted.
-
-    Graphs are often one shared object, each written once by
-    `_arc_list_join`, from whichever of its arc set and arrays is built, and
-    joined.  When the distinct graphs hold at least `ARRAY_TEXT_MIN_INTS`
-    integers, all graphs go into one `_digraphs_text` call instead, unless
-    some vertex count does not fit int64."""
-    keys = list(map(id, graphs))
-    distinct = dict(zip(keys, graphs))  # blobs often share one DiGraph
-    kinds = list(distinct.values())
-    counts = np.fromiter(map(attrgetter("arc_count"), kinds), np.int64, len(kinds))
-    try:
-        sizes = np.fromiter(
-            map(attrgetter("vertex_count"), kinds), np.int64, len(kinds)
+def _digraph_docs(
+    sizes: np.ndarray, counts: np.ndarray, tails: np.ndarray, heads: np.ndarray
+) -> str:
+    """Digraph documents joined by ``", "``: digraph g has ``sizes[g]``
+    vertices and the next ``counts[g]`` arcs ``(tails[k], heads[k])``, in
+    order.  From `ARRAY_TEXT_MIN_INTS` integers on, one `_digraphs_text`
+    call writes them all, unless some id does not fit int64; below that,
+    one `_arc_list_join` per digraph."""
+    ints = len(sizes) + 2 * len(tails)
+    if ints < ARRAY_TEXT_MIN_INTS or not _writable(sizes, tails, heads):
+        arcs = list(zip(tails.tolist(), heads.tolist()))
+        ends = np.cumsum(counts).tolist()
+        return ", ".join(
+            f'{{"n": {n}, "arcs": {_arc_list_join(arcs[a:b])}}}'
+            for n, a, b in zip(sizes.tolist(), [0, *ends], ends)
         )
-    except OverflowError:
-        sizes = None
-    if sizes is None or len(kinds) + 2 * counts.sum() < ARRAY_TEXT_MIN_INTS:
-        texts = {
-            key: f'{{"n": {h.vertex_count}, "arcs": {_arc_list_join(h.arcs_in_order())}}}'
-            for key, h in distinct.items()
-        }
-        return ", ".join(map(texts.__getitem__, keys))
-    index = dict(zip(distinct, range(len(kinds))))
-    which = np.fromiter(map(index.__getitem__, keys), np.intp, len(keys))
-    counts = counts[which]
-    n_at = np.arange(len(keys)) + 2 * (np.cumsum(counts) - counts)
-    values = np.empty(len(keys) + 2 * int(counts.sum()), dtype=np.int64)
-    values[n_at] = sizes[which]
-    if len(values) > len(keys):
-        ids = np.ones(len(values), dtype=bool)
-        ids[n_at] = False
-        at = np.flatnonzero(ids)
-        with_arcs = [kinds[k] for k in which[counts > 0].tolist()]
-        values[at[0::2]] = np.concatenate([h.tails for h in with_arcs])
-        values[at[1::2]] = np.concatenate([h.heads for h in with_arcs])
+    n_at = np.arange(len(sizes)) + 2 * (np.cumsum(counts) - counts)
+    values = np.empty(len(sizes) + 2 * len(tails), dtype=np.int64)
+    values[n_at] = sizes
+    ids = np.ones(len(values), dtype=bool)
+    ids[n_at] = False
+    at = np.flatnonzero(ids)
+    values[at[0::2]], values[at[1::2]] = tails, heads
     return _digraphs_text(values, n_at)
 
 
@@ -219,11 +204,12 @@ def _pair_text(root: int, out_arcs: str, in_arcs: str) -> str:
 
 
 def serialize_digraph(d: DiGraph) -> str:
-    return _digraph_docs([d])
+    return _digraph_docs(np.array([d.vertex_count]), np.array([d.arc_count]), d.tails, d.heads)
 
 
 def serialize_composition(spec: CompositionSpec) -> str:
-    return _composition_text(_digraph_docs([spec.outer]), _digraph_docs(spec.blobs))
+    blobs = _digraph_docs(spec.sizes, *spec.local_arcs())
+    return _composition_text(serialize_digraph(spec.outer), blobs)
 
 
 def serialize_good_pair(gp: GoodPair) -> str:
@@ -325,26 +311,17 @@ def _canonical_composition(text: str) -> CompositionSpec | None:
     found = read and _canonical_digraphs(read[0], read[2])
     if not found:
         return None
-    values = read[0]
     n_at, sizes, counts, tails, heads = found
-    if len(n_at) < 2 or sizes[0] != len(n_at) - 1 or sizes[1:].min() < 1:
+    if len(n_at) < 2 or sizes[0] != len(n_at) - 1:
         return None
-    cut = n_at[1]
-    outer_text = _digraphs_text(values[:cut], n_at[:1])
-    blobs_text = _digraphs_text(values[cut:], n_at[1:] - cut)
-    if _composition_text(outer_text, blobs_text) != text:
+    # Blob orders of at least 1 whose total passes int64 wrap it below 0.
+    if sizes[1:].min() < 1 or np.cumsum(sizes[1:]).min() < 0:
         return None
-    ends = np.cumsum(counts).tolist()
-    m = ends[0]
+    m = int(counts[0])
     outer = DiGraph.from_sorted_arrays(int(sizes[0]), tails[:m], heads[:m])
-    # As `_blobs_from_docs` builds them: arcless blobs share one per size.
-    blob_sizes = sizes[1:].tolist()
-    arcless = {k: DiGraph(k) for k in set(blob_sizes)}
-    blobs = list(map(arcless.__getitem__, blob_sizes))
-    for i in np.flatnonzero(counts[1:]).tolist():
-        a, b = ends[i], ends[i + 1]
-        blobs[i] = DiGraph.from_sorted_arrays(blob_sizes[i], tails[a:b], heads[a:b])
-    return CompositionSpec(outer, blobs)
+    inner = inner_digraph(sizes[1:], counts[1:], tails[m:], heads[m:])
+    spec = CompositionSpec.from_arrays(outer, sizes[1:], inner)
+    return spec if serialize_composition(spec) == text else None
 
 
 def _canonical_pair(text: str) -> GoodPair | None:
@@ -504,18 +481,17 @@ def _composition_from_json(text: str) -> CompositionSpec:
             f"composition.H: expected {outer.vertex_count} blob digraphs, "
             f"got {len(doc['H'])}"
         )
-    return CompositionSpec(outer, _blobs_from_docs(doc["H"]))
+    return _spec_from_docs(outer, doc["H"])
 
 
-def _blobs_from_docs(subs: list[Any]) -> list[DiGraph]:
-    """The blob digraphs of a non-empty ``composition.H``.
+def _spec_from_docs(outer: DiGraph, subs: list[Any]) -> CompositionSpec:
+    """The spec of ``outer`` and the blob documents ``subs``, non-empty.
 
-    Valid documents are ``{"n": k, "arcs": [...]}`` with an int k >= 1.  When
-    C-level scans show that all are, with every k within int64, the arcless
-    blobs share one ``DiGraph(k)`` per size, and the arcs of all other blobs
-    are checked together in one `_checked_arcs` call, with no Python work
-    per blob besides building it.  Otherwise the documents are read one by
-    one, in order, and the first malformed one raises.
+    Valid documents are ``{"n": k, "arcs": [...]}`` with int ks >= 1 that
+    sum within int64.  When C-level scans show that all are, the arcs of all
+    blobs are checked in one `_checked_arcs` call, with no Python work per
+    blob.  Otherwise the documents are read in order, and the first
+    malformed one, or the one at which the order passes int64, raises.
     """
     regular = set(map(type, subs)) == {dict} and set(map(len, subs)) == {2}
     if regular:
@@ -523,39 +499,35 @@ def _blobs_from_docs(subs: list[Any]) -> list[DiGraph]:
         arc_lists = list(map(dict.get, subs, repeat("arcs")))
         regular = (
             set(map(type, sizes)) == {int}
-            and 1 <= min(sizes) <= max(sizes) <= np.iinfo(np.int64).max
+            and min(sizes) >= 1
+            and sum(sizes) <= INT64_MAX
             and set(map(type, arc_lists)) == {list}
         )
     if not regular:
-        return [_blob_from_doc(i, sub) for i, sub in enumerate(subs)]
-    arcless = {k: DiGraph(k) for k in set(sizes)}
-    blobs = list(map(arcless.__getitem__, sizes))
-    with_arcs = list(compress(range(len(subs)), arc_lists))
-    lists = list(map(arc_lists.__getitem__, with_arcs))
-    counts = np.fromiter(map(len, lists), np.int64, len(lists))
-    group = np.repeat(np.arange(len(lists)), counts)
-    items = list(chain.from_iterable(lists))
-    bound = np.fromiter(map(sizes.__getitem__, with_arcs), np.int64, len(lists))
-    tails, heads, first = _checked_arcs(items, np.repeat(bound, counts), group)
-    ends = np.cumsum(counts).tolist()
-    starts = [0, *ends[:-1]]
+        # The scans fail only on such a document, so this loop raises.
+        total = 0
+        for i, sub in enumerate(subs):
+            if not isinstance(sub, dict):
+                raise FormatError(f"composition.H[{i}]: expected a digraph object")
+            n = _digraph_from_doc(sub, f"composition.H[{i}]").vertex_count
+            if n < 1:
+                raise FormatError(f"composition.H[{i}].n: a blob needs at least 1 vertex")
+            total += n
+            if total > INT64_MAX:
+                raise FormatError(
+                    f"composition.H[{i}].n: the composition order passes int64 "
+                    f"({total} vertices so far)"
+                )
+    sizes = np.array(sizes, dtype=np.int64)
+    counts = np.fromiter(map(len, arc_lists), np.int64, len(arc_lists))
+    group = np.repeat(np.arange(len(subs)), counts)
+    items = list(chain.from_iterable(arc_lists))
+    tails, heads, first = _checked_arcs(items, sizes[group], group)
     if first < len(items):
-        k = int(group[first])
-        i, n = with_arcs[k], sizes[with_arcs[k]]
-        where = f"composition.H[{i}].arcs[{first - starts[k]}]"
-        raise FormatError(f"{where}: {_arc_problem(items[first], n)}")
-    for i, a, b in zip(with_arcs, starts, ends):
-        blobs[i] = DiGraph.from_sorted_arrays(sizes[i], tails[a:b], heads[a:b])
-    return blobs
-
-
-def _blob_from_doc(i: int, sub: Any) -> DiGraph:
-    if not isinstance(sub, dict):
-        raise FormatError(f"composition.H[{i}]: expected a digraph object")
-    blob = _digraph_from_doc(sub, f"composition.H[{i}]")
-    if blob.vertex_count < 1:
-        raise FormatError(f"composition.H[{i}].n: a blob needs at least 1 vertex")
-    return blob
+        i = int(group[first])
+        where = f"composition.H[{i}].arcs[{first - int(counts[:i].sum())}]"
+        raise FormatError(f"{where}: {_arc_problem(items[first], int(sizes[i]))}")
+    return CompositionSpec.from_arrays(outer, sizes, inner_digraph(sizes, counts, tails, heads))
 
 
 def _pair_from_json(text: str) -> GoodPair:

@@ -402,7 +402,7 @@ def decide_semicomplete(spec: CompositionSpec, root: BlobVertex) -> Decision:
         # With t >= 2 the composition is strong exactly when the outer is.
         raise ValueError("composition is not strong")
     spec.check_blob_vertex(root)
-    if all(h.vertex_count >= 2 for h in spec.blobs):
+    if spec.sizes.min() >= 2:
         return Decision("found", pair=construct_good_pair(spec, root))
     q = materialize(spec)
     nr = closed_neighborhood_restriction(q, spec.global_id(root))

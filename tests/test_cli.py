@@ -392,3 +392,32 @@ def test_malformed_file_is_invalid_input(tmp_path, capsys):
     p.write_text("{nope")
     assert main(["compose", str(p)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "decide-sc"])
+def test_composition_order_beyond_int64_is_invalid_input(command, tmp_path, capsys):
+    """A blob of 2^70 vertices used to crash layer extension with an
+    OverflowError, exit 1, which reads as a certified absence."""
+    doc = json.loads(SPEC_C3_K2BAR)
+    doc["H"][1]["n"] = 2**70
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps(doc))
+    assert main([command, str(p), "--root", "1.1"]) == 2
+    message = "composition.H[1].n: the composition order passes int64"
+    assert capsys.readouterr() == ("", f"error: {message} ({2**70 + 2} vertices so far)\n")
+
+
+@pytest.mark.parametrize("command", ["solve", "decide-sc"])
+def test_out_of_memory_is_invalid_input(command, spec_file, capsys, monkeypatch):
+    """A blob of 4*10^9 vertices fits int64 but not memory: numpy's
+    MemoryError used to exit 1.  The failed allocation is simulated where
+    the constructor makes its one array over all N ids."""
+
+    def unable_to_allocate(spec):
+        raise MemoryError("Unable to allocate 29.8 GiB for an array with shape (4000000004,)")
+
+    monkeypatch.setattr(goodpairs.CompositionSpec, "blob_of", property(unable_to_allocate))
+    assert main([command, spec_file, "--root", "1.2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: Unable to allocate 29.8 GiB")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from collections import Counter
 from unittest.mock import patch
 
@@ -26,9 +27,13 @@ from goodpairs import (
 )
 
 from goodpairs import composition as composition_module
+from goodpairs import io as gio
+from goodpairs.io import FormatError, parse_composition, serialize_composition, serialize_digraph
 
 from bruteforce import (
     reference_branching_problems,
+    reference_composition,
+    reference_composition_text,
     reference_is_semicomplete,
     reference_materialize,
 )
@@ -399,3 +404,141 @@ def test_verifiers_agree_deep_in_the_arc_arrays():
             problem = verify_good_pair(spec.implicit_view(), broken).first_problem
             assert problem.startswith(f"out-branching invalid: arc ({bad[0]},{bad[1]})")
             _assert_hosts_agree(spec, q, broken, str(bad))
+
+
+INT64_MAX = 2**63 - 1
+
+
+@st.composite
+def _blob_lists(draw):
+    """An outer digraph and its blobs: small ones, some with arcs, and
+    sometimes one whose order takes the composition order to within 3 of
+    int64's maximum, with arcs at both ends of its ids."""
+    t = draw(st.integers(1, 5))
+    blobs = draw(st.lists(digraphs(min_n=1, max_n=4), min_size=t, max_size=t))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, t - 1))
+        others = sum(h.vertex_count for j, h in enumerate(blobs) if j != i)
+        n = INT64_MAX - draw(st.integers(0, 3)) - others
+        ends = [0, 1, n - 2, n - 1]
+        pairs = [(u, v) for u in ends for v in ends if u != v]
+        blobs[i] = DiGraph(n, draw(st.sets(st.sampled_from(pairs))))
+    return draw(digraphs(min_n=t, max_n=t)), blobs
+
+
+def _reference_layout(blobs):
+    """Blob orders and blob arcs in global ids, by a loop over the blobs."""
+    sizes, tails, heads, base = [], [], [], 0
+    for h in blobs:
+        for u, v in sorted(h.arcs):
+            tails.append(base + u)
+            heads.append(base + v)
+        sizes.append(h.vertex_count)
+        base += h.vertex_count
+    return sizes, tails, heads
+
+
+def _layout(spec):
+    return (
+        spec.sizes.tolist(),
+        spec.inner.tails.tolist(),
+        spec.inner.heads.tolist(),
+        (spec.sizes.dtype, spec.inner.tails.dtype, spec.inner.heads.dtype),
+        spec.total_vertices,
+    )
+
+
+class TestBlobLayout:
+    """Every way of building a spec gives the same blob orders, blob arcs
+    and blob digraphs."""
+
+    @given(_blob_lists())
+    def test_constructor_arrays_and_parsers_agree(self, case):
+        outer, blobs = case
+        sizes, tails, heads = _reference_layout(blobs)
+        inner = DiGraph.from_sorted_arrays(
+            sum(sizes), np.array(tails, np.int64), np.array(heads, np.int64)
+        )
+        built = CompositionSpec(outer, blobs)
+        text = serialize_composition(built)
+        assert text == reference_composition_text(CompositionSpec(outer, blobs))
+        specs = [
+            built,
+            CompositionSpec.from_arrays(outer, np.array(sizes, np.int64), inner),
+            parse_composition(text),
+            gio._composition_from_json(text),
+        ]
+        if sum(sizes) < 10**18:  # the canonical reader takes ints of up to 18 digits
+            specs.append(gio._canonical_composition(text))
+        expected = (sizes, tails, heads, (np.dtype(np.int64),) * 3, sum(sizes))
+        for spec in specs:
+            assert _layout(spec) == expected
+            assert spec.blobs == tuple(blobs)
+            assert not spec.sizes.flags.writeable
+
+    @given(
+        t=st.integers(2, 8),
+        sizes=st.tuples(st.integers(1, 4), st.integers(0, 2)),
+        p=st.floats(0, 1),
+        outer=st.sampled_from(["strong", "semicomplete"]),
+        seed=st.integers(0, 2**32),
+    )
+    def test_generator_agrees_with_the_constructor(self, t, sizes, p, outer, seed):
+        lo, hi = sizes[0], sum(sizes)
+        spec = gen_composition(t, (lo, hi), p, outer, seed)
+        ref, _, _ = reference_composition(t, (lo, hi), p, outer, seed)
+        assert _layout(spec) == _layout(ref)
+        assert spec.blobs == ref.blobs
+        assert _layout(parse_composition(serialize_composition(spec))) == _layout(ref)
+
+    def test_composition_order_beyond_int64_is_named(self):
+        half = DiGraph(2**62)
+        message = r"^blob 2: the composition order passes int64 \(9223372036854775808 "
+        with pytest.raises(ValueError, match=message):
+            CompositionSpec(DiGraph(3, [(0, 1), (1, 2), (2, 0)]), [half, half, DiGraph(1)])
+        with pytest.raises(ValueError, match=r"^blob 1: the composition order passes int64"):
+            CompositionSpec(DiGraph(2, [(0, 1), (1, 0)]), [DiGraph(2**64), DiGraph(0)])
+        with pytest.raises(ValueError, match=r"^blob 1 must have at least one vertex"):
+            CompositionSpec(DiGraph(2, [(0, 1), (1, 0)]), [DiGraph(0), DiGraph(2**64)])
+        edge = CompositionSpec(DiGraph(2, [(0, 1), (1, 0)]), [half, DiGraph(2**62 - 1)])
+        assert edge.total_vertices == INT64_MAX
+
+    def test_parsers_name_the_blob_where_the_order_passes_int64(self):
+        """A text above the canonical reader's size whose orders, of 18
+        digits each, fit int64 but whose sum does not: the canonical reader
+        leaves it to json.loads, and the error names the blob."""
+        outer = json.loads(serialize_digraph(gen_strong_digraph(2000, 2000, 1)))
+        orders = [10**18 - 1] * 10 + [1] * 1990
+        doc = {"T": outer, "H": [{"n": n, "arcs": []} for n in orders]}
+        text = json.dumps(doc)
+        assert len(text) >= gio.ARRAY_READ_MIN_BYTES
+        assert gio._canonical_composition(text) is None
+        message = r"^composition\.H\[9\]\.n: the composition order passes int64 \(9{18}0 "
+        with pytest.raises(FormatError, match=message):
+            parse_composition(text)
+        doc["H"][9]["n"] = 1  # nine of them fit
+        assert gio._canonical_composition(json.dumps(doc)).total_vertices == 9 * orders[0] + 1991
+
+
+def test_blob_digraphs_are_built_only_on_request():
+    """No step of the package reads ``spec.blobs``: parsing, writing,
+    construction, materialization and both paths of the semicomplete
+    decision leave it unbuilt."""
+    def generated():
+        return [
+            gen_composition(6, (2, 3), 0.3, "semicomplete", 1),  # the constructor's path
+            gen_composition(4, (1, 3), 0.3, "semicomplete", 2),  # the restriction's path
+        ]
+
+    specs = generated()
+    assert [spec.sizes.min() for spec in specs] == [2, 1]
+    specs += [parse_composition(serialize_composition(spec)) for spec in generated()]
+    specs.append(CompositionSpec(specs[0].outer, generated()[0].blobs))
+    for spec in specs:
+        serialize_composition(spec)
+        materialize(spec)
+        root = BlobVertex(int(np.argmin(spec.sizes)) + 1, 1)
+        assert decide_semicomplete(spec, root).status in ("found", "absent")
+        if spec.sizes.min() >= 2:
+            construct_good_pair(spec, BlobVertex(2, 2))
+        assert "blobs" not in spec.__dict__

@@ -150,6 +150,15 @@ class TestBfsPointers:
             lists = [neighbours[indptr[v] : indptr[v + 1]].tolist() for v in range(4)]
             assert lists == [list(a) for a in adj]
 
+    def test_in_csr_holds_the_in_lists(self):
+        """On both sides of 2^16 vertices, where `in_csr` stops sorting the
+        heads as uint16."""
+        bound = [gen_strong_digraph(n, n, n) for n in (1 << 16, (1 << 16) + 1)]
+        for d in [*seeded_outers(), *bound]:
+            indptr, neighbours = d.in_csr
+            lists = np.split(neighbours, indptr[1:-1])
+            assert [a.tolist() for a in lists] == list(map(list, d.in_adj))
+
     @pytest.mark.parametrize("n", range(1, 5))
     def test_engines_agree_on_every_small_digraph(self, n):
         """Strong or not, so that unreached vertices hold -1."""

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import bruteforce as bf
 
 from goodpairs import (
+    CompositionSpec,
     DiGraph,
     gen_composition,
     gen_semicomplete,
@@ -20,9 +21,9 @@ from goodpairs import (
 )
 from goodpairs.cli import main
 from goodpairs.generate import (
-    _blob_digraphs,
     _bounded,
     _halves,
+    _draw_inner,
     _semicomplete_arcs,
     _strong_arcs,
 )
@@ -197,6 +198,13 @@ def _pair_set(t: int, keys: np.ndarray) -> set[tuple[int, int]]:
     return {(k // t, k % t) for k in keys.tolist()}
 
 
+def _blobs(sizes: np.ndarray, inner: DiGraph) -> list[DiGraph]:
+    """The blob digraphs that a spec with these blob orders and blob arcs
+    reads out of them."""
+    outer = DiGraph(len(sizes))
+    return list(CompositionSpec.from_arrays(outer, sizes, inner).blobs)
+
+
 def _twins(seed: int, waiting: bool) -> tuple[np.random.Generator, np.random.Generator]:
     """Two generators in the same state; with ``waiting``, a 32-bit half is
     cached by an `integers` call, then a `random` call passes over it."""
@@ -244,8 +252,8 @@ class TestBulkDrawsMatchScalarCalls:
         for lo, hi in ((1, 1), (1, 4), (3, 3), (2, 6)):
             for seed in range(10):
                 ours, ref = _twins(seed, seed % 2 == 1)
-                sizes = ours.integers(lo, hi + 1, size=7).tolist()
-                blobs = _blob_digraphs(ours, sizes, p)
+                sizes = ours.integers(lo, hi + 1, size=7)
+                blobs = _blobs(sizes, _draw_inner(ours, sizes, p))
                 assert blobs == bf.reference_blobs(ref, 7, lo, hi, p)
                 _assert_same_state(ours, ref)
 
@@ -276,10 +284,9 @@ class TestBulkDrawsMatchScalarCalls:
             arcs = _semicomplete_arcs(ours, t, fraction)
             assert _pair_set(t, arcs) == bf.reference_semicomplete_arcs(ref, t, fraction)
         else:
-            sizes = ours.integers(1, 5, size=t).tolist()
-            assert _blob_digraphs(ours, sizes, fraction) == bf.reference_blobs(
-                ref, t, 1, 4, fraction
-            )
+            sizes = ours.integers(1, 5, size=t)
+            blobs = _blobs(sizes, _draw_inner(ours, sizes, fraction))
+            assert blobs == bf.reference_blobs(ref, t, 1, 4, fraction)
         _assert_same_state(ours, ref)
 
     def test_compositions_match_the_reference(self):
