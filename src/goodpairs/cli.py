@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 from . import io as gio
-from .composition import BlobVertex, materialize
+from .composition import DEFAULT_MATERIALIZE_ARC_LIMIT, BlobVertex, materialize
 from .construct import construct_good_pair
 from .digraph import verify_good_pair
 from .generate import gen_composition, gen_semicomplete, gen_strong_digraph
@@ -159,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compose", help="materialize a composition spec into a digraph")
     p.add_argument("spec", help="composition JSON file, or - for stdin")
-    p.add_argument("--max-arcs", type=int, default=2_000_000)
+    p.add_argument("--max-arcs", type=int, default=DEFAULT_MATERIALIZE_ARC_LIMIT)
     p.set_defaults(func=_cmd_compose)
 
     p = sub.add_parser("solve", help="construct a good pair (strong outer, all blobs >= 2)")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -209,23 +209,6 @@ def _order_problem(blobs: Sequence[DiGraph]) -> str:
 
 DEFAULT_MATERIALIZE_ARC_LIMIT = 2_000_000
 DEFAULT_MATERIALIZE_VERTEX_LIMIT = 1_000_000
-# Arc count below which `materialize` builds the arc set tuple by tuple:
-# there the fixed cost of its dozen numpy calls, each run with cold caches
-# in a long process, outweighs the per-arc loop (the crossover, near 450
-# arcs, is measured in CHANGES.md).
-_TUPLE_MATERIALIZE_MAX_ARCS = 512
-
-
-def _block_arcs(spec: CompositionSpec) -> Iterator[tuple[int, int]]:
-    """The composition's arcs as global ``(tail, head)`` pairs, unordered:
-    the blob arcs, then one block per outer arc."""
-    yield from zip(spec.inner.tails.tolist(), spec.inner.heads.tolist())
-    offsets = spec.offsets.tolist()
-    for i, p in zip(spec.outer.tails.tolist(), spec.outer.heads.tolist()):
-        heads = range(offsets[p], offsets[p + 1])
-        for a in range(offsets[i], offsets[i + 1]):
-            for b in heads:
-                yield a, b
 
 
 def materialize(
@@ -237,9 +220,8 @@ def materialize(
 
     Refuses (with the offending counts in the message) rather than silently
     building something enormous; the implicit query interface covers the
-    large cases.  Below `_TUPLE_MATERIALIZE_MAX_ARCS` arcs the digraph
-    starts from its arc set, and from there up from sorted arrays built as
-    one numpy block product.
+    large cases.  The arcs are built as one numpy block product, sorted
+    once, and the digraph is made from the sorted arrays.
     """
     if spec.total_vertices > max_vertices:
         raise ValueError(
@@ -252,8 +234,6 @@ def materialize(
             f"materialized composition would have {expected} arcs, "
             f"over the limit of {max_arcs}"
         )
-    if expected < _TUPLE_MATERIALIZE_MAX_ARCS:
-        return DiGraph(spec.total_vertices, _block_arcs(spec))
     sizes, offsets = spec.sizes, spec.offsets
     # Outer arc e = (i, p) gives the block of sizes[i] * sizes[p] arcs
     # (offsets[i] + a, offsets[p] + b), numbered a * sizes[p] + b.

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Collection, Iterable, Literal, Sequence
+from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
@@ -42,16 +42,22 @@ def _fail(*problems: str) -> CheckReport:
     return CheckReport(False, tuple(problems))
 
 
-def _sorted_arc_arrays(arcs: Collection[Arc]) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct int pairs ``arcs`` as ``(tails, heads)`` arrays sorted by
-    (tail, head): int64, or dtype object (exact) when some id does not fit."""
+def _exact_ids(ids: Sequence[int]) -> np.ndarray:
+    """``ids`` as an int64 array, or as dtype object when some id does not fit."""
     try:
-        ids = np.fromiter(chain.from_iterable(arcs), np.int64, 2 * len(arcs))
+        return np.array(ids, dtype=np.int64)
     except OverflowError:
-        ids = np.array(list(chain.from_iterable(arcs)), dtype=object)
-    tails, heads = ids.reshape(-1, 2).T
-    order = np.lexsort((heads, tails))
-    return tails[order], heads[order]
+        return np.array(ids, dtype=object)
+
+
+def _sorted_arcs(arcs: Iterable[Arc]) -> tuple[list[Arc], np.ndarray, np.ndarray]:
+    """The distinct int pairs ``arcs`` in ascending order, and as read-only
+    ``(tails, heads)`` arrays: int64, or dtype object (exact) when some id
+    does not fit."""
+    pairs = sorted({(int(u), int(v)) for u, v in arcs})
+    ids = _exact_ids(list(chain.from_iterable(pairs)))
+    ids.flags.writeable = False  # and so are its two views
+    return pairs, ids[0::2], ids[1::2]
 
 
 def _members(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -73,44 +79,40 @@ def _csr(n: int, keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.n
 
 # The largest vertex count n for which ``n * n`` fits int64.
 _KEYED_VERTICES_MAX = 3_037_000_499
-# Query length below which `DiGraph.has_arcs` reads a built arc set rather
-# than pay numpy's fixed cost per call: the measured crossover (CHANGES.md).
-_SET_LOOKUP_MAX_PAIRS = 64
 
 
 @dataclass(frozen=True, eq=False, repr=False)
 class DiGraph:
     """A simple directed graph on vertices ``0 .. vertex_count - 1``.
 
-    The arcs are held two ways, each derived from the other on first use:
-    ``arcs``, a frozenset of ``(tail, head)`` int pairs, and ``tails`` and
-    ``heads``, read-only int arrays sorted by (tail, head), int64 unless some
-    id does not fit (then dtype object, exact).  ``DiGraph(n, arcs)`` starts
-    from the set; `from_sorted_arrays` starts from the arrays, which is how
-    the parsers and the generators build digraphs.  Both set ``arc_count``.
-    The neighbour lists are derived on first use too, as tuples (`out_adj`,
-    `in_adj`) for the Python loops and as CSR arrays (`out_csr`, `in_csr`)
-    for searches of large digraphs.  Digraphs compare by vertex count and
-    arcs.
+    The arcs are held as ``tails`` and ``heads``, read-only int arrays sorted
+    by (tail, head), int64 unless some id does not fit (then dtype object,
+    exact).  ``DiGraph(n, arcs)`` sorts the distinct pairs once and checks
+    them in that order, so an error names the smallest bad arc;
+    `from_sorted_arrays` takes the arrays as given.  Derived on first use:
+    ``arcs``, a frozenset of ``(tail, head)`` int pairs, and the neighbour
+    lists as tuples (`out_adj`, `in_adj`) for the Python loops and as CSR
+    arrays (`out_csr`, `in_csr`) for searches of large digraphs.  Digraphs
+    compare by vertex count and arcs.
     """
 
     vertex_count: int
     arc_count: int
+    tails: np.ndarray
+    heads: np.ndarray
 
     def __init__(self, vertex_count: int, arcs: Iterable[Arc] = ()) -> None:
         if vertex_count < 0:
             raise ValueError(f"vertex_count must be non-negative, got {vertex_count}")
-        arc_set = frozenset((int(u), int(v)) for u, v in arcs)
-        for u, v in arc_set:
+        pairs, tails, heads = _sorted_arcs(arcs)
+        for u, v in pairs:
             if u == v:
                 raise ValueError(f"loop arc ({u},{v}) not allowed")
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise ValueError(
                     f"arc ({u},{v}) out of range for {vertex_count} vertices"
                 )
-        object.__setattr__(self, "vertex_count", vertex_count)
-        object.__setattr__(self, "arc_count", len(arc_set))
-        object.__setattr__(self, "arcs", arc_set)
+        self._store(vertex_count, tails, heads)
 
     @classmethod
     def from_sorted_arrays(
@@ -121,35 +123,21 @@ class DiGraph:
         the parsers and the generators leave them."""
         d = object.__new__(cls)
         tails.flags.writeable = heads.flags.writeable = False
-        object.__setattr__(d, "vertex_count", vertex_count)
-        object.__setattr__(d, "arc_count", len(tails))
-        object.__setattr__(d, "_arc_arrays", (tails, heads))
+        d._store(vertex_count, tails, heads)
         return d
+
+    def _store(self, vertex_count: int, tails: np.ndarray, heads: np.ndarray) -> None:
+        self.__dict__.update(
+            vertex_count=vertex_count, arc_count=len(tails), tails=tails, heads=heads
+        )
 
     @cached_property
     def arcs(self) -> frozenset[Arc]:
-        return frozenset(zip(self.tails.tolist(), self.heads.tolist()))
-
-    @cached_property
-    def _arc_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        tails, heads = _sorted_arc_arrays(self.arcs)
-        tails.flags.writeable = heads.flags.writeable = False
-        return tails, heads
-
-    @property
-    def tails(self) -> np.ndarray:
-        return self._arc_arrays[0]
-
-    @property
-    def heads(self) -> np.ndarray:
-        return self._arc_arrays[1]
+        return frozenset(self.arcs_in_order())
 
     def arcs_in_order(self) -> Iterable[Arc]:
-        """The arcs as ``(tail, head)`` int pairs in ascending order, read
-        from whichever of the arrays and the set is built already."""
-        if "_arc_arrays" in self.__dict__:
-            return zip(self.tails.tolist(), self.heads.tolist())
-        return sorted(self.arcs)
+        """The arcs as ``(tail, head)`` int pairs in ascending order."""
+        return zip(self.tails.tolist(), self.heads.tolist())
 
     @cached_property
     def out_adj(self) -> tuple[tuple[int, ...], ...]:
@@ -196,13 +184,17 @@ class DiGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DiGraph):
             return NotImplemented
-        return self.vertex_count == other.vertex_count and self.arcs == other.arcs
+        return (
+            self.vertex_count == other.vertex_count
+            and np.array_equal(self.tails, other.tails)
+            and np.array_equal(self.heads, other.heads)
+        )
 
     def __hash__(self) -> int:
         return hash((self.vertex_count, self.arcs))
 
     def __repr__(self) -> str:
-        return f"DiGraph({self.vertex_count}, {sorted(self.arcs)})"
+        return f"DiGraph({self.vertex_count}, {list(self.arcs_in_order())})"
 
     def has_arc(self, u: int, v: int) -> bool:
         return (u, v) in self.arcs
@@ -217,23 +209,14 @@ class DiGraph:
         """Mask over the pairs (tails[k], heads[k]); exact for ids of any size.
 
         Looked up among the sorted `_arc_keys`, which ids out of range never
-        match; in the arc set when ids or keys do not fit int64, or when the
-        set is built and the query is shorter than `_SET_LOOKUP_MAX_PAIRS`."""
+        match; in ``arcs`` when ids or keys do not fit int64."""
         n = self.vertex_count
-        if (
-            ("arcs" in self.__dict__ and len(tails) < _SET_LOOKUP_MAX_PAIRS)
-            or n > _KEYED_VERTICES_MAX
-            or tails.dtype == object
-            or heads.dtype == object
-        ):
+        if n > _KEYED_VERTICES_MAX or tails.dtype == object or heads.dtype == object:
             pairs = zip(tails.tolist(), heads.tolist())
             return np.fromiter(((u, v) in self.arcs for u, v in pairs), bool, len(tails))
         found = (tails >= 0) & (tails < n) & (heads >= 0) & (heads < n)
         found &= _members(self._arc_keys, tails.astype(np.int64) * n + heads)
         return found
-
-    def reverse(self) -> DiGraph:
-        return DiGraph(self.vertex_count, ((v, u) for u, v in self.arcs))
 
     def check_vertex(self, v: int, what: str = "vertex") -> None:
         if not (0 <= v < self.vertex_count):
@@ -243,13 +226,20 @@ class DiGraph:
 
 
 def induced_subgraph(d: DiGraph, kept: Iterable[int]) -> DiGraph:
-    """Subgraph induced by ``kept``, re-indexed by position in sorted order."""
+    """Subgraph induced by ``kept``, re-indexed by position in sorted order.
+
+    The arcs are cut from ``d``'s arrays; the re-indexing is monotone, so
+    they stay sorted."""
     kept_sorted = sorted(set(kept))
     for v in kept_sorted:
         d.check_vertex(v)
-    index = {v: i for i, v in enumerate(kept_sorted)}
-    arcs = ((index[u], index[v]) for u, v in d.arcs if u in index and v in index)
-    return DiGraph(len(kept_sorted), arcs)
+    if not kept_sorted:
+        return DiGraph(0)
+    ids = _exact_ids(kept_sorted)
+    tails, heads = np.searchsorted(ids, d.tails), np.searchsorted(ids, d.heads)
+    inside = ids.take(tails, mode="clip") == d.tails
+    inside &= ids.take(heads, mode="clip") == d.heads
+    return DiGraph.from_sorted_arrays(len(ids), tails[inside], heads[inside])
 
 
 # Vertex count from which `bfs_pointers` runs its numpy engine over the
@@ -398,18 +388,37 @@ def strong_components(d: DiGraph) -> tuple[list[frozenset[int]], DiGraph]:
 
     Components are returned in a topological order of the condensation
     (arcs of the condensation go from lower to higher component index).
-    Iterative Tarjan, so large graphs do not hit the recursion limit.
     """
     n = d.vertex_count
-    adj = d.out_adj
-    index = [-1] * n
-    lowlink = [0] * n
-    on_stack = bytearray(n)
+    components = [frozenset(c) for c in reversed(_tarjan(d.out_adj, range(n)))]
+    comp_of = [0] * n
+    for i, comp in enumerate(components):
+        for v in comp:
+            comp_of[v] = i
+    cond_arcs = {
+        (comp_of[u], comp_of[v]) for u, v in d.arcs_in_order() if comp_of[u] != comp_of[v]
+    }
+    return components, DiGraph(len(components), cond_arcs)
+
+
+def _tarjan(adj: Sequence[Sequence[int]], vertices: Sequence[int]) -> list[list[int]]:
+    """Strong components of the subgraph that ``vertices`` induce in the
+    digraph of neighbour lists ``adj``, each listed after every component
+    it reaches.  Iterative Tarjan, so large graphs do not hit the recursion
+    limit.
+    """
+    # A vertex outside the subgraph looks finished and off the stack, as a
+    # vertex of an earlier component does, so the search never enters it.
+    index = [-2] * len(adj)
+    for v in vertices:
+        index[v] = -1
+    lowlink = [0] * len(adj)
+    on_stack = bytearray(len(adj))
     stack: list[int] = []
     counter = 0
-    components_rev: list[frozenset[int]] = []
+    components: list[list[int]] = []
 
-    for root in range(n):
+    for root in vertices:
         if index[root] != -1:
             continue
         # Explicit DFS stack of (vertex, next-neighbour position).
@@ -444,21 +453,12 @@ def strong_components(d: DiGraph) -> tuple[list[frozenset[int]], DiGraph]:
                     comp.append(w)
                     if w == v:
                         break
-                components_rev.append(frozenset(comp))
+                components.append(comp)
             if work:
                 parent = work[-1][0]
                 if lowlink[v] < lowlink[parent]:
                     lowlink[parent] = lowlink[v]
-
-    components = components_rev[::-1]
-    comp_of = [0] * n
-    for i, comp in enumerate(components):
-        for v in comp:
-            comp_of[v] = i
-    cond_arcs = {
-        (comp_of[u], comp_of[v]) for u, v in d.arcs if comp_of[u] != comp_of[v]
-    }
-    return components, DiGraph(len(components), cond_arcs)
+    return components
 
 
 def is_strong(d: DiGraph) -> bool:
@@ -493,8 +493,7 @@ class Branching:
     heads: np.ndarray
 
     def __init__(self, root: int, kind: BranchingKind, arcs: Iterable[Arc] = ()) -> None:
-        pairs = {(int(u), int(v)) for u, v in arcs}
-        self._store(root, kind, *_sorted_arc_arrays(pairs))
+        self._store(root, kind, *_sorted_arcs(arcs)[1:])
 
     @classmethod
     def from_sorted_arrays(

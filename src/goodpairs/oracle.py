@@ -15,6 +15,7 @@ from .digraph import (
     Branching,
     DiGraph,
     GoodPair,
+    _members,
     bfs_pointers,
     find_in_branching,
     require_good_pair,
@@ -120,8 +121,11 @@ def decide_good_pair_exact(
             reason=f"{d.vertex_count} vertices exceed the exact-search cap "
             f"of {vertex_cap}",
         )
+    n = d.vertex_count
     for out_b in enumerate_out_branchings(d, r):
-        rest = DiGraph(d.vertex_count, d.arcs - out_b.arcs)
+        # The arcs of d outside out_b, cut from d's sorted arrays.
+        outside = ~_members(out_b.tails * n + out_b.heads, d._arc_keys)
+        rest = DiGraph.from_sorted_arrays(n, d.tails[outside], d.heads[outside])
         in_b = find_in_branching(rest, r)
         if in_b is not None:
             pair = require_good_pair(d, GoodPair(r, out_b, in_b), "oracle pair")

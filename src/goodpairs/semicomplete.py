@@ -13,6 +13,7 @@ small requirement graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -29,12 +30,12 @@ from .digraph import (
     Branching,
     DiGraph,
     GoodPair,
+    _tarjan,
     find_in_branching,
     find_out_branching,
     induced_subgraph,
     is_strong,
     require_good_pair,
-    strong_components,
     verify_good_pair,
 )
 
@@ -59,13 +60,12 @@ class NeighborhoodRestriction:
 
 
 def closed_neighborhood_restriction(q: DiGraph, r: int) -> NeighborhoodRestriction:
-    """Restrict ``q`` to the root plus everything adjacent to it."""
+    """Restrict ``q`` to the root plus everything adjacent to it, read off
+    ``q``'s arc arrays."""
     q.check_vertex(r, "root")
-    keep = {r}
-    keep.update(q.out_adj[r])
-    keep.update(q.in_adj[r])
-    kept = tuple(sorted(keep))
-    removed = frozenset(range(q.vertex_count)) - keep
+    ends = (q.heads[q.tails == r], q.tails[q.heads == r], [r])
+    kept = tuple(np.unique(np.concatenate(ends)).tolist())
+    removed = frozenset(range(q.vertex_count)).difference(kept)
     return NeighborhoodRestriction(
         restricted=induced_subgraph(q, kept),
         kept=kept,
@@ -86,9 +86,10 @@ def lift_good_pair(
     feeds in the restricted out-branching; when the preferred vertex lacks
     the needed arc, the smallest kept vertex that has it is used instead.
     Heads of added out-arcs and tails of added in-arcs are removed vertices,
-    so the result stays arc-disjoint by construction.
+    so the result stays arc-disjoint by construction.  The lifted pair is
+    verified on ``q`` before it is returned; the input is not verified
+    separately.
     """
-    require_good_pair(nr.restricted, restricted_pair, "restricted pair")
     # Restricted ids map to original ids in ascending order, and the arc
     # arrays are sorted, so the root's feeders and fed vertices come out sorted.
     kept = np.array(nr.kept, dtype=np.int64)
@@ -103,13 +104,13 @@ def lift_good_pair(
     in_next = np.full(q.vertex_count, -1, dtype=np.int64)
     in_next[kept[in_b.tails]] = kept[in_b.heads]
     for u in sorted(nr.removed):
-        x = _first_with_arc(q, root_feeders, others, tail=None, head=u)
+        x = next((v for v in chain(root_feeders, others) if q.has_arc(v, u)), None)
         if x is None:
             raise ValueError(
                 f"no kept vertex has an arc to removed vertex {u}; "
                 "is the host digraph strong?"
             )
-        y = _first_with_arc(q, root_fed, others, tail=u, head=None)
+        y = next((v for v in chain(root_fed, others) if q.has_arc(u, v)), None)
         if y is None:
             raise ValueError(
                 f"removed vertex {u} has no arc back to a kept vertex; "
@@ -117,29 +118,12 @@ def lift_good_pair(
             )
         out_parent[u] = x
         in_next[u] = y
-    return GoodPair(
+    pair = GoodPair(
         r,
         Branching.from_pointers(r, "out", out_parent),
         Branching.from_pointers(r, "in", in_next),
     )
-
-
-def _first_with_arc(
-    q: DiGraph,
-    preferred: list[int],
-    fallback: list[int],
-    tail: int | None,
-    head: int | None,
-) -> int | None:
-    """First vertex v (preferred first, then fallback) with the arc v->head
-    or tail->v present in q."""
-    for pool in (preferred, fallback):
-        for v in pool:
-            if head is not None and q.has_arc(v, head):
-                return v
-            if tail is not None and q.has_arc(tail, v):
-                return v
-    return None
+    return require_good_pair(q, pair, "lifted pair")
 
 
 @dataclass(frozen=True)
@@ -344,15 +328,17 @@ def _source_components(
     d: DiGraph, vertices: set[int], reverse: bool
 ) -> list[frozenset[int]]:
     """Initial strong components of d[vertices], or terminal ones with
-    ``reverse``, in original ids."""
-    kept = sorted(vertices)
-    sub = induced_subgraph(d, kept)
-    components, condensation = strong_components(sub.reverse() if reverse else sub)
-    sources = [
-        frozenset(kept[v] for v in comp)
-        for k, comp in enumerate(components)
-        if not condensation.in_adj[k]
-    ]
+    ``reverse``: those no arc of d[vertices] enters (leaves), by min."""
+    adj = d.in_adj if reverse else d.out_adj
+    components = _tarjan(adj, sorted(vertices))
+    comp_of = {v: k for k, comp in enumerate(components) for v in comp}
+    entered = {
+        comp_of[w]
+        for u in vertices
+        for w in adj[u]
+        if w in comp_of and comp_of[w] != comp_of[u]
+    }
+    sources = [frozenset(c) for k, c in enumerate(components) if k not in entered]
     return sorted(sources, key=min)
 
 
@@ -390,8 +376,8 @@ def decide_semicomplete(spec: CompositionSpec, root: BlobVertex) -> Decision:
     Fast path: when every blob has at least two vertices the constructor
     answers directly.  Otherwise the question is settled on the restriction
     to the root's closed neighbourhood by `decide_root_adjacent`, in time
-    linear in the restriction, and a pair found there is verified, lifted
-    back and verified again on Q.  Either way a returned pair has passed
+    linear in the restriction, and a pair found there is lifted back and
+    verified on Q, once.  Either way a returned pair has passed
     `verify_good_pair`.  The answer is always "found" or "absent".
     """
     if spec.blob_count < 2:
@@ -413,5 +399,4 @@ def decide_semicomplete(spec: CompositionSpec, root: BlobVertex) -> Decision:
     )
     if inner.pair is None:
         return inner
-    pair = lift_good_pair(q, nr, inner.pair)
-    return Decision("found", pair=require_good_pair(q, pair, "lifted pair"))
+    return Decision("found", pair=lift_good_pair(q, nr, inner.pair))

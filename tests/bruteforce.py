@@ -4,7 +4,8 @@ Everything here is deliberately naive and self-contained: reachability by
 hand-rolled BFS over arc sets, branching candidates by iterating raw arc
 subsets, and per-item loops as the references for the branching verifier,
 the parsers' arc-list checks, the writers, `materialize`, the
-semicomplete test and the seeded generators' draws.
+semicomplete test, the decision's source components and the seeded
+generators' draws.
 Keep it that way; these functions must not share search logic with the
 code they check.
 """
@@ -16,7 +17,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from goodpairs import CompositionSpec, DiGraph, GoodPair
+from goodpairs import CompositionSpec, DiGraph, GoodPair, induced_subgraph, strong_components
 
 
 def reachable_from(arcs, n: int, start: int) -> set[int]:
@@ -300,6 +301,25 @@ def shortest_cycle_through(d: DiGraph, v: int) -> tuple[int, ...] | None:
         if path is not None and (best is None or len(path) + 1 < len(best)):
             best = (v, *path)
     return best
+
+
+def reference_source_components(
+    d: DiGraph, vertices: set[int], reverse: bool
+) -> list[frozenset[int]]:
+    """The initial strong components of d[vertices], or terminal ones with
+    ``reverse``, by min, read off the condensation of the induced subgraph
+    (or of its reverse)."""
+    kept = sorted(vertices)
+    sub = induced_subgraph(d, kept)
+    if reverse:
+        sub = DiGraph(sub.vertex_count, [(v, u) for u, v in sub.arcs])
+    components, condensation = strong_components(sub)
+    sources = [
+        frozenset(kept[v] for v in comp)
+        for k, comp in enumerate(components)
+        if not condensation.in_adj[k]
+    ]
+    return sorted(sources, key=min)
 
 
 def labeled_digraphs(n: int):

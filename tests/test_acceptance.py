@@ -208,6 +208,59 @@ def test_c4_decision_text_is_pinned():
     )
 
 
+def test_c4_restriction_path_work(monkeypatch):
+    """Each decide_semicomplete call on C4's instances that goes through the
+    restriction builds at most four digraphs (Q, the restriction and the
+    two search hosts of decide_root_adjacent) and verifies once per found
+    pair, counted by wrapping the digraph constructors and the verifier."""
+    import goodpairs.digraph as digraph_module
+    import goodpairs.semicomplete as semicomplete_module
+
+    built = []
+    verified = []
+    init = DiGraph.__init__
+    from_sorted_arrays = DiGraph.from_sorted_arrays.__func__
+    verify = digraph_module.verify_good_pair
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    def counting_from_sorted_arrays(cls, *args, **kwargs):
+        built.append(1)
+        return from_sorted_arrays(cls, *args, **kwargs)
+
+    def counting_verify(*args, **kwargs):
+        verified.append(1)
+        return verify(*args, **kwargs)
+
+    instances = _semicomplete_instances()  # built before the counting starts
+    monkeypatch.setattr(DiGraph, "__init__", counting_init)
+    monkeypatch.setattr(DiGraph, "from_sorted_arrays", classmethod(counting_from_sorted_arrays))
+    monkeypatch.setattr(digraph_module, "verify_good_pair", counting_verify)
+    monkeypatch.setattr(semicomplete_module, "verify_good_pair", counting_verify)
+    calls = found = most_built = 0
+    wrong_verifications = []
+    for seed, spec in instances:
+        if spec.sizes.min() >= 2:
+            continue  # the constructor's fast path
+        for r in range(spec.total_vertices):
+            built.clear()
+            verified.clear()
+            decision = decide_semicomplete(spec, spec.blob_vertex(r))
+            calls += 1
+            found += decision.found
+            most_built = max(most_built, len(built))
+            if len(verified) != decision.found:
+                wrong_verifications.append((seed, r, len(verified)))
+    report(
+        "C4 restriction path work",
+        calls and found and most_built <= 4 and not wrong_verifications,
+        f"{calls} calls, {found} found, at most {most_built} digraphs built per call, "
+        f"{len(wrong_verifications)} calls not verifying once per found pair",
+    )
+
+
 def test_c5_lift_and_shrink_round_trip():
     lift_failures = []
     shrink_failures = []

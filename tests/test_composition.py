@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -26,7 +25,6 @@ from goodpairs import (
     verify_good_pair,
 )
 
-from goodpairs import composition as composition_module
 from goodpairs import io as gio
 from goodpairs.io import FormatError, parse_composition, serialize_composition, serialize_digraph
 
@@ -77,37 +75,29 @@ class TestMaterialize:
         with pytest.raises(ValueError, match="6 vertices, over the limit of 5"):
             materialize(spec_c3_k2bar(), max_vertices=5)
 
-    # Both builds: the arc set below the crossover, the numpy arrays above.
-    BUILDS = pytest.mark.parametrize("crossover", [0, 10**9], ids=["arrays", "set"])
-
-    @BUILDS
-    def test_matches_reference_on_c4_specs(self, crossover):
+    def test_matches_reference_on_c4_specs(self):
         """The specs of acceptance criterion C4: semicomplete outers, blobs
         of 1 or 2 vertices, blob arcs at probability 0, 0.3 and 0.6."""
-        with patch.object(composition_module, "_TUPLE_MATERIALIZE_MAX_ARCS", crossover):
-            for seed in range(60):
-                p = (0.0, 0.3, 0.6)[seed % 3]
-                spec = gen_composition(2 + seed % 3, (1, 2), p, "semicomplete", seed=seed)
-                q = materialize(spec)
-                assert q == reference_materialize(spec)
-                assert list(q.arcs_in_order()) == sorted(q.arcs)
+        for seed in range(60):
+            p = (0.0, 0.3, 0.6)[seed % 3]
+            spec = gen_composition(2 + seed % 3, (1, 2), p, "semicomplete", seed=seed)
+            q = materialize(spec)
+            assert q == reference_materialize(spec)
+            assert list(q.arcs_in_order()) == sorted(q.arcs)
 
-    @BUILDS
     @given(digraphs(min_n=1, max_n=4), st.data())
-    def test_matches_reference_with_blob_arcs(self, crossover, outer, data):
+    def test_matches_reference_with_blob_arcs(self, outer, data):
         blobs = [data.draw(digraphs(min_n=1, max_n=4)) for _ in range(outer.vertex_count)]
         spec = CompositionSpec(outer, blobs)
-        with patch.object(composition_module, "_TUPLE_MATERIALIZE_MAX_ARCS", crossover):
-            q = materialize(spec)
+        q = materialize(spec)
         assert q == reference_materialize(spec)
         assert list(q.arcs_in_order()) == sorted(q.arcs)
         assert len(q.tails) == spec.arc_count()
 
     def test_large_composition_uses_arrays(self):
         spec = gen_composition(12, (6, 8), 0.3, "semicomplete", seed=3)
-        assert spec.arc_count() >= composition_module._TUPLE_MATERIALIZE_MAX_ARCS
         q = materialize(spec)
-        assert "_arc_arrays" in q.__dict__ and "arcs" not in q.__dict__
+        assert "arcs" not in q.__dict__
         assert q == reference_materialize(spec)
 
 

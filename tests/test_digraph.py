@@ -47,6 +47,22 @@ class TestDiGraph:
         with pytest.raises(ValueError, match="out of range"):
             DiGraph(2, [(0, 2)])
 
+    def test_errors_name_the_smallest_bad_arc(self):
+        with pytest.raises(ValueError, match=r"^loop arc \(0,0\) not allowed$"):
+            DiGraph(3, [(2, 5), (0, 0)])
+        with pytest.raises(ValueError, match=r"^arc \(0,4\) out of range for 3 vertices$"):
+            DiGraph(3, [(5, 1), (3, 9), (0, 4)])
+
+    def test_ids_beyond_int64_are_held_exactly(self):
+        big = 2**69
+        d = DiGraph(2**70, [(big, 1)])
+        assert d.tails.dtype == object and d.heads.dtype == object
+        assert d.arcs == {(big, 1)}
+        tails = np.array([big, 1, big, 0], dtype=object)
+        heads = np.array([1, big, 2, 1], dtype=object)
+        expected = [(u, v) in d.arcs for u, v in zip(tails, heads)]
+        assert d.has_arcs(tails, heads).tolist() == expected == [True, False, False, False]
+
     def test_rejects_negative_vertex_count(self):
         with pytest.raises(ValueError):
             DiGraph(-1)

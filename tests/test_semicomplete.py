@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from goodpairs import (
     BlobVertex,
@@ -17,6 +19,10 @@ from goodpairs import (
     shrink_good_pair,
     verify_good_pair,
 )
+from goodpairs.semicomplete import _source_components
+
+from bruteforce import reference_source_components
+from strategies import digraphs
 
 
 def spec_c3_k2bar():
@@ -303,3 +309,11 @@ class TestDecideRootAdjacent:
         d = DiGraph(3, [(0, 1), (1, 0), (1, 2), (2, 1)])
         with pytest.raises(ValueError, match="vertex 2 is not adjacent"):
             decide_root_adjacent(d, 0)
+
+
+class TestSourceComponents:
+    @given(digraphs(min_n=1, max_n=7), st.data(), st.booleans())
+    def test_matches_the_condensation_of_the_induced_subgraph(self, d, data, reverse):
+        vertices = data.draw(st.sets(st.integers(0, d.vertex_count - 1)))
+        expected = reference_source_components(d, vertices, reverse)
+        assert _source_components(d, vertices, reverse) == expected
