@@ -68,6 +68,14 @@ def _members(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return np.take(sorted_keys, pos, mode="clip", out=pos) == keys
 
 
+def _neighbour_lists(n: int, keys: np.ndarray, values: np.ndarray) -> list[list[int]]:
+    """n lists: ``adj[k]`` holds the ``values[j]`` with ``keys[j] == k``, in array order."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for k, v in zip(keys.tolist(), values.tolist()):
+        adj[k].append(v)
+    return adj
+
+
 def _csr(n: int, keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(indptr, values)`` for arcs grouped by ascending ``keys``."""
     indptr = np.zeros(n + 1, dtype=np.int64)
@@ -142,20 +150,12 @@ class DiGraph:
     @cached_property
     def out_adj(self) -> tuple[tuple[int, ...], ...]:
         """Out-neighbour lists, each sorted ascending."""
-        adj: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for u, v in self.arcs_in_order():
-            adj[u].append(v)
-        return tuple(map(tuple, adj))
+        return tuple(map(tuple, _neighbour_lists(self.vertex_count, self.tails, self.heads)))
 
     @cached_property
     def in_adj(self) -> tuple[tuple[int, ...], ...]:
-        """In-neighbour lists, each sorted ascending: `out_adj` read in
-        order of tail."""
-        adj: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for u, nbrs in enumerate(self.out_adj):
-            for v in nbrs:
-                adj[v].append(u)
-        return tuple(map(tuple, adj))
+        """In-neighbour lists, each sorted ascending: the arcs read in order of tail."""
+        return tuple(map(tuple, _neighbour_lists(self.vertex_count, self.heads, self.tails)))
 
     @cached_property
     def out_csr(self) -> tuple[np.ndarray, np.ndarray]:
@@ -197,7 +197,7 @@ class DiGraph:
         return f"DiGraph({self.vertex_count}, {list(self.arcs_in_order())})"
 
     def has_arc(self, u: int, v: int) -> bool:
-        return (u, v) in self.arcs
+        return bool(self.has_arcs(_exact_ids([u]), _exact_ids([v]))[0])
 
     @cached_property
     def _arc_keys(self) -> np.ndarray:
@@ -391,10 +391,7 @@ def strong_components(d: DiGraph) -> tuple[list[frozenset[int]], DiGraph]:
     """
     n = d.vertex_count
     components = [frozenset(c) for c in reversed(_tarjan(d.out_adj, range(n)))]
-    comp_of = [0] * n
-    for i, comp in enumerate(components):
-        for v in comp:
-            comp_of[v] = i
+    comp_of = {v: i for i, comp in enumerate(components) for v in comp}
     cond_arcs = {
         (comp_of[u], comp_of[v]) for u, v in d.arcs_in_order() if comp_of[u] != comp_of[v]
     }

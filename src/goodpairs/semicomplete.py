@@ -7,14 +7,15 @@ ways: `lift_good_pair` grows a pair of the restriction into one of the full
 graph, `shrink_good_pair` prunes a pair of the full graph down to the
 restriction.  On the restriction every vertex is adjacent to r, and
 `decide_root_adjacent` settles it in linear time by Hall's condition on a
-small requirement graph.
+small requirement graph, read off the restriction's sorted arc arrays
+through vertex and arc masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -30,6 +31,8 @@ from .digraph import (
     Branching,
     DiGraph,
     GoodPair,
+    _fifo_pointers,
+    _neighbour_lists,
     _tarjan,
     find_in_branching,
     find_out_branching,
@@ -103,21 +106,27 @@ def lift_good_pair(
     out_parent[kept[out_b.heads]] = kept[out_b.tails]
     in_next = np.full(q.vertex_count, -1, dtype=np.int64)
     in_next[kept[in_b.tails]] = kept[in_b.heads]
-    for u in sorted(nr.removed):
-        x = next((v for v in chain(root_feeders, others) if q.has_arc(v, u)), None)
-        if x is None:
-            raise ValueError(
-                f"no kept vertex has an arc to removed vertex {u}; "
-                "is the host digraph strong?"
-            )
-        y = next((v for v in chain(root_fed, others) if q.has_arc(u, v)), None)
-        if y is None:
-            raise ValueError(
-                f"removed vertex {u} has no arc back to a kept vertex; "
-                "is the host digraph strong?"
-            )
-        out_parent[u] = x
-        in_next[u] = y
+    # One has_arcs query per candidate, over the removed vertices still
+    # without their arc; the smallest vertex left without one is reported.
+    kinds = (
+        (out_parent, root_feeders, "no kept vertex has an arc to removed vertex {}"),
+        (in_next, root_fed, "removed vertex {} has no arc back to a kept vertex"),
+    )
+    stuck = []
+    for k, (pointer, preferred, problem) in enumerate(kinds):
+        left = np.array(sorted(nr.removed), dtype=np.int64)
+        for v in chain(preferred, others):
+            if not len(left):
+                break
+            ends = np.full(len(left), v)
+            found = q.has_arcs(ends, left) if k == 0 else q.has_arcs(left, ends)
+            pointer[left[found]] = v
+            left = left[~found]
+        if len(left):
+            stuck.append((int(left[0]), k, problem))
+    if stuck:
+        u, _, problem = min(stuck)
+        raise ValueError(problem.format(u) + "; is the host digraph strong?")
     pair = GoodPair(
         r,
         Branching.from_pointers(r, "out", out_parent),
@@ -213,34 +222,47 @@ def decide_root_adjacent(
     requirement graph (requirements as nodes, serving arcs as edges or
     loops) has at least as many arcs as requirements.
 
+    The sides are vertex masks and each group of arcs a mask over ``d``'s
+    sorted arc arrays; the searches run over lists cut from masked arrays,
+    and ``d``'s own neighbour lists are never built.
+
     On "absent" the reason names a deficient component, writing vertices
     with ``name``.  A "found" pair is not verified here: `decide_semicomplete`
     verifies it in `lift_good_pair`.
     """
     d.check_vertex(r, "root")
-    out_r = set(d.out_adj[r])
-    in_r = set(d.in_adj[r])
-    for v in range(d.vertex_count):
-        if v != r and v not in out_r and v not in in_r:
-            raise ValueError(f"vertex {name(v)} is not adjacent to the root")
-    both = out_r & in_r
-    o_side = out_r - in_r
-    i_side = in_r - out_r
+    n, tails, heads = d.vertex_count, d.tails, d.heads
+    from_root, to_root = tails == r, heads == r
+    fed = np.bincount(heads[from_root], minlength=n) > 0
+    feeding = np.bincount(tails[to_root], minlength=n) > 0
+    alone = ~(fed | feeding)
+    alone[r] = False
+    if alone.any():
+        raise ValueError(f"vertex {name(int(alone.argmax()))} is not adjacent to the root")
+    both, o_side, i_side = fed & feeding, fed & ~feeding, feeding & ~fed
 
     # I-vertices B cannot reach through B->I and I->I arcs, and O-vertices
-    # that cannot reach B through O->O and O->B arcs.
-    r_i = i_side - _reach(both, d.out_adj, i_side)
-    r_o = o_side - _reach(both, d.in_adj, o_side)
+    # that cannot reach B through O->O and O->B arcs (searched backwards).
+    sources = np.flatnonzero(both).tolist()
+    o_tail, i_head = o_side[tails], i_side[heads]
+    # B | I is N-(r), the vertices feeding r, and B | O is N+(r), those r feeds.
+    into_i, out_of_o = i_head & feeding[tails], o_tail & fed[heads]
+    r_i = i_side & _unreached(n, tails[into_i], heads[into_i], sources)
+    r_o = o_side & _unreached(n, heads[out_of_o], tails[out_of_o], sources)
     in_reqs = _source_components(d, r_i, reverse=False)
-    out_reqs = _source_components(d, r_o, reverse=True)
-    requirements = in_reqs + out_reqs
-    req_of_head = {v: k for k, comp in enumerate(in_reqs) for v in comp}
-    req_of_tail = {
-        v: k for k, comp in enumerate(out_reqs, start=len(in_reqs)) for v in comp
-    }
+    requirements = in_reqs + _source_components(d, r_o, reverse=True)
+    # O and I are disjoint, so one lookup holds both kinds; -1 for none.
+    req = np.full(n, -1, dtype=np.int64)
+    for k, comp in enumerate(requirements):
+        req[list(comp)] = k
 
-    # One union-find pass over the O->I arcs that serve a requirement.
-    o_to_i = [(o, i) for o in sorted(o_side) for i in d.out_adj[o] if i in i_side]
+    # One union-find pass over the O->I arcs that serve a requirement, in
+    # array order: by tail, then head.
+    o_to_i = o_tail & i_head
+    at = np.flatnonzero(o_to_i & ((req[tails] >= 0) | (req[heads] >= 0)))
+    a, b = req[tails[at]], req[heads[at]]
+    a = np.where(a < 0, b, a)  # one requirement each arc serves
+    b = np.where(b < 0, a, b)
     parent = list(range(len(requirements)))
 
     def find(x: int) -> int:
@@ -249,95 +271,74 @@ def decide_root_adjacent(
             x = parent[x]
         return x
 
-    # Per union-find root: requirements in the component, and arcs serving them.
-    size = [1] * len(requirements)
-    arc_count = [0] * len(requirements)
-    serving: list[tuple[Arc, int]] = []  # (arc, one requirement it serves)
-    tree_edges: list[list[tuple[int, Arc]]] = [[] for _ in requirements]
-    spare: list[tuple[Arc, int]] = []  # arcs closing a cycle, loops included
-    for arc in o_to_i:
-        a = req_of_tail.get(arc[0])
-        b = req_of_head.get(arc[1])
-        if a is None and b is None:
-            continue
-        a = b if a is None else a
-        b = a if b is None else b
-        serving.append((arc, a))
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            size[rb] += size[ra]
-            arc_count[rb] += arc_count[ra] + 1
-            tree_edges[a].append((b, arc))
-            tree_edges[b].append((a, arc))
+    # Per union-find root: serving arcs less requirements.  Arcs are positions.
+    slack = [-1] * len(requirements)
+    tree_edges: list[list[tuple[int, int]]] = [[] for _ in requirements]
+    spare: list[tuple[int, int]] = []  # arcs closing a cycle, loops included
+    for p, x, y in zip(at.tolist(), a.tolist(), b.tolist()):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[rx] = ry
+            slack[ry] += slack[rx] + 1
+            tree_edges[x].append((y, p))
+            tree_edges[y].append((x, p))
         else:
-            arc_count[ra] += 1
-            spare.append((arc, a))
+            slack[rx] += 1
+            spare.append((p, x))
     for k in range(len(requirements)):
-        if find(k) == k and arc_count[k] < size[k]:
-            return Decision(
-                "absent",
-                reason=_deficiency(k, find, requirements, len(in_reqs), serving, name),
-            )
+        if find(k) == k and slack[k] < 0:
+            serving = zip(zip(tails[at].tolist(), heads[at].tolist()), a.tolist())
+            reason = _deficiency(k, find, requirements, len(in_reqs), serving, name)
+            return Decision("absent", reason=reason)
 
     # Each component has a spare arc: give it to one endpoint, and give
     # every other requirement the tree arc toward that endpoint.
-    assigned: dict[int, Arc] = {}
-    served_components: set[int] = set()
-    for arc, a in spare:
-        if find(a) in served_components:
+    assigned: dict[int, int] = {}
+    for p, x in spare:
+        if x in assigned:  # its component is served
             continue
-        served_components.add(find(a))
-        assigned[a] = arc
-        stack = [a]
+        assigned[x] = p
+        stack = [x]
         while stack:
-            x = stack.pop()
-            for y, tree_arc in tree_edges[x]:
+            z = stack.pop()
+            for y, tree_p in tree_edges[z]:
                 if y not in assigned:
-                    assigned[y] = tree_arc
+                    assigned[y] = tree_p
                     stack.append(y)
-    entering = {assigned[k] for k in range(len(in_reqs))}
-    out_arcs = [(r, v) for v in out_r]
-    out_arcs += [(u, i) for i in i_side for u in d.in_adj[i] if u in both or u in i_side]
-    out_arcs += entering
-    in_arcs = [(v, r) for v in in_r]
-    in_arcs += [(o, w) for o in o_side for w in d.out_adj[o] if w not in i_side]
-    in_arcs += [arc for arc in o_to_i if arc not in entering]
-    out_b = find_out_branching(DiGraph(d.vertex_count, out_arcs), r)
-    in_b = find_in_branching(DiGraph(d.vertex_count, in_arcs), r)
+    entering = np.zeros(len(tails), dtype=bool)
+    entering[[assigned[k] for k in range(len(in_reqs))]] = True
+    out_host = from_root | into_i | entering
+    in_host = to_root | (o_tail & ~entering)  # entering arcs are O->I arcs
+    hosts = [DiGraph.from_sorted_arrays(n, tails[m], heads[m]) for m in (out_host, in_host)]
+    out_b, in_b = find_out_branching(hosts[0], r), find_in_branching(hosts[1], r)
     if out_b is None or in_b is None:
         raise RuntimeError("requirement assignment left a vertex unspanned")
     return Decision("found", pair=GoodPair(r, out_b, in_b))
 
 
-def _reach(start: set[int], adj: tuple[tuple[int, ...], ...], allowed: set[int]) -> set[int]:
-    """Vertices of ``allowed`` reachable from ``start`` along ``adj`` through
-    vertices of ``allowed`` only."""
-    seen: set[int] = set()
-    stack = list(start)
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w in allowed and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
+def _unreached(n: int, keys: np.ndarray, values: np.ndarray, sources: list[int]) -> np.ndarray:
+    """Mask of the vertices a FIFO search from ``sources`` along the arcs
+    ``keys[j] -> values[j]`` does not reach."""
+    return np.array(_fifo_pointers(_neighbour_lists(n, keys, values), sources)) < 0
 
 
 def _source_components(
-    d: DiGraph, vertices: set[int], reverse: bool
+    d: DiGraph, vertices: np.ndarray, reverse: bool
 ) -> list[frozenset[int]]:
-    """Initial strong components of d[vertices], or terminal ones with
-    ``reverse``: those no arc of d[vertices] enters (leaves), by min."""
-    adj = d.in_adj if reverse else d.out_adj
-    components = _tarjan(adj, sorted(vertices))
+    """Initial strong components of d[vertices], ``vertices`` a mask, or
+    terminal ones with ``reverse``: those no arc of d[vertices] enters
+    (leaves), by min."""
+    if not vertices.any():
+        return []
+    inside = vertices[d.tails] & vertices[d.heads]
+    tails, heads = d.tails[inside], d.heads[inside]
+    if reverse:
+        tails, heads = heads, tails
+    adj = _neighbour_lists(d.vertex_count, tails, heads)
+    components = _tarjan(adj, np.flatnonzero(vertices).tolist())
     comp_of = {v: k for k, comp in enumerate(components) for v in comp}
-    entered = {
-        comp_of[w]
-        for u in vertices
-        for w in adj[u]
-        if w in comp_of and comp_of[w] != comp_of[u]
-    }
+    pairs = zip(tails.tolist(), heads.tolist())
+    entered = {comp_of[w] for u, w in pairs if comp_of[w] != comp_of[u]}
     sources = [frozenset(c) for k, c in enumerate(components) if k not in entered]
     return sorted(sources, key=min)
 
@@ -347,7 +348,7 @@ def _deficiency(
     find: Callable[[int], int],
     requirements: list[frozenset[int]],
     in_count: int,
-    serving: list[tuple[Arc, int]],
+    serving: Iterable[tuple[Arc, int]],
     name: Callable[[int], str],
 ) -> str:
     """Name the requirements of one deficient component and its arcs."""

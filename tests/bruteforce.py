@@ -4,8 +4,8 @@ Everything here is deliberately naive and self-contained: reachability by
 hand-rolled BFS over arc sets, branching candidates by iterating raw arc
 subsets, and per-item loops as the references for the branching verifier,
 the parsers' arc-list checks, the writers, `materialize`, the
-semicomplete test, the decision's source components and the seeded
-generators' draws.
+semicomplete test, the decision's source components, the root-adjacent
+decision over vertex sets and the seeded generators' draws.
 Keep it that way; these functions must not share search logic with the
 code they check.
 """
@@ -17,7 +17,16 @@ from itertools import combinations, product
 
 import numpy as np
 
-from goodpairs import CompositionSpec, DiGraph, GoodPair, induced_subgraph, strong_components
+from goodpairs import (
+    CompositionSpec,
+    Decision,
+    DiGraph,
+    GoodPair,
+    find_in_branching,
+    find_out_branching,
+    induced_subgraph,
+    strong_components,
+)
 
 
 def reachable_from(arcs, n: int, start: int) -> set[int]:
@@ -320,6 +329,123 @@ def reference_source_components(
         if not condensation.in_adj[k]
     ]
     return sorted(sources, key=min)
+
+
+def _reference_reach(start: set[int], adj, allowed: set[int]) -> set[int]:
+    """Vertices of ``allowed`` reachable from ``start`` along ``adj`` through
+    vertices of ``allowed`` only, by a depth-first stack."""
+    seen: set[int] = set()
+    stack = list(start)
+    while stack:
+        u = stack.pop()
+        for w in adj[u]:
+            if w in allowed and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def reference_decide_root_adjacent(d: DiGraph, r: int, name=str) -> Decision:
+    """`goodpairs.decide_root_adjacent` over Python vertex sets and arc
+    tuples: the same B/O/I split, requirements, union-find pass over the
+    O->I arcs in (tail, head) order, assignment and search hosts, so its
+    status, ``reason`` and pair are the ones the array version must give.
+    The requirements come from `reference_source_components`."""
+    d.check_vertex(r, "root")
+    out_r = set(d.out_adj[r])
+    in_r = set(d.in_adj[r])
+    for v in range(d.vertex_count):
+        if v != r and v not in out_r and v not in in_r:
+            raise ValueError(f"vertex {name(v)} is not adjacent to the root")
+    both = out_r & in_r
+    o_side = out_r - in_r
+    i_side = in_r - out_r
+    r_i = i_side - _reference_reach(both, d.out_adj, i_side)
+    r_o = o_side - _reference_reach(both, d.in_adj, o_side)
+    in_reqs = reference_source_components(d, r_i, reverse=False)
+    out_reqs = reference_source_components(d, r_o, reverse=True)
+    requirements = in_reqs + out_reqs
+    req_of_head = {v: k for k, comp in enumerate(in_reqs) for v in comp}
+    req_of_tail = {
+        v: k for k, comp in enumerate(out_reqs, start=len(in_reqs)) for v in comp
+    }
+    o_to_i = [(o, i) for o in sorted(o_side) for i in d.out_adj[o] if i in i_side]
+    parent = list(range(len(requirements)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    size = [1] * len(requirements)
+    arc_count = [0] * len(requirements)
+    serving = []  # (arc, one requirement it serves)
+    tree_edges = [[] for _ in requirements]
+    spare = []  # arcs closing a cycle, loops included
+    for arc in o_to_i:
+        a = req_of_tail.get(arc[0])
+        b = req_of_head.get(arc[1])
+        if a is None and b is None:
+            continue
+        a = b if a is None else a
+        b = a if b is None else b
+        serving.append((arc, a))
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+            size[rb] += size[ra]
+            arc_count[rb] += arc_count[ra] + 1
+            tree_edges[a].append((b, arc))
+            tree_edges[b].append((a, arc))
+        else:
+            arc_count[ra] += 1
+            spare.append((arc, a))
+    for k in range(len(requirements)):
+        if find(k) == k and arc_count[k] < size[k]:
+            members = [j for j in range(len(requirements)) if find(j) == k]
+            enter = [_group(requirements[j], name) for j in members if j < len(in_reqs)]
+            leave = [_group(requirements[j], name) for j in members if j >= len(in_reqs)]
+            arcs = [f"{name(u)}->{name(v)}" for (u, v), a in serving if find(a) == k]
+            parts = [
+                f"deficient requirement component: {len(members)} requirements, "
+                f"{len(arcs)} serving O->I arcs ({', '.join(arcs) or 'none'})"
+            ]
+            if enter:
+                parts.append("out-branching must enter " + ", ".join(enter))
+            if leave:
+                parts.append("in-branching must leave " + ", ".join(leave))
+            return Decision("absent", reason="; ".join(parts))
+
+    assigned = {}
+    served_components = set()
+    for arc, a in spare:
+        if find(a) in served_components:
+            continue
+        served_components.add(find(a))
+        assigned[a] = arc
+        stack = [a]
+        while stack:
+            x = stack.pop()
+            for y, tree_arc in tree_edges[x]:
+                if y not in assigned:
+                    assigned[y] = tree_arc
+                    stack.append(y)
+    entering = {assigned[k] for k in range(len(in_reqs))}
+    out_arcs = [(r, v) for v in out_r]
+    out_arcs += [(u, i) for i in i_side for u in d.in_adj[i] if u in both or u in i_side]
+    out_arcs += entering
+    in_arcs = [(v, r) for v in in_r]
+    in_arcs += [(o, w) for o in o_side for w in d.out_adj[o] if w not in i_side]
+    in_arcs += [arc for arc in o_to_i if arc not in entering]
+    out_b = find_out_branching(DiGraph(d.vertex_count, out_arcs), r)
+    in_b = find_in_branching(DiGraph(d.vertex_count, in_arcs), r)
+    if out_b is None or in_b is None:
+        raise RuntimeError("requirement assignment left a vertex unspanned")
+    return Decision("found", pair=GoodPair(r, out_b, in_b))
+
+
+def _group(comp, name) -> str:
+    return "{" + ", ".join(name(v) for v in sorted(comp)) + "}"
 
 
 def labeled_digraphs(n: int):

@@ -96,6 +96,16 @@ class TestDiGraph:
         tails, heads = np.array([1, 0, 2, 0, 1]), np.array([-1, 3, -3, 2, 0])
         assert d.has_arcs(tails, heads).tolist() == [False, False, False, True, True]
 
+    def test_has_arc_reads_the_keys_and_checks_the_range(self):
+        """One pair through `has_arcs`: no arc set is built for ids within
+        int64, and pairs out of range whose keys collide with arcs are not
+        arcs.  Ids beyond int64 take the set."""
+        d = DiGraph.from_sorted_arrays(3, np.array([0, 1]), np.array([2, 0]))
+        assert d.has_arc(0, 2) and d.has_arc(1, 0)
+        assert not d.has_arc(1, -1) and not d.has_arc(0, 3) and not d.has_arc(2, -3)
+        assert "arcs" not in d.__dict__
+        assert not d.has_arc(2**70, 0)
+
     def test_has_arcs_beyond_int64_keys(self):
         big = 2**62
         d = DiGraph(big, [(0, big - 1), (big - 1, 0)])

@@ -1,7 +1,8 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goodpairs import (
@@ -21,8 +22,8 @@ from goodpairs import (
 )
 from goodpairs.semicomplete import _source_components
 
-from bruteforce import reference_source_components
-from strategies import digraphs
+from bruteforce import reference_decide_root_adjacent, reference_source_components
+from strategies import digraphs, root_adjacent
 
 
 def spec_c3_k2bar():
@@ -316,4 +317,126 @@ class TestSourceComponents:
     def test_matches_the_condensation_of_the_induced_subgraph(self, d, data, reverse):
         vertices = data.draw(st.sets(st.integers(0, d.vertex_count - 1)))
         expected = reference_source_components(d, vertices, reverse)
-        assert _source_components(d, vertices, reverse) == expected
+        mask = np.zeros(d.vertex_count, dtype=bool)
+        mask[list(vertices)] = True
+        assert _source_components(d, mask, reverse) == expected
+
+
+def assert_matches_reference(d, r, name=str):
+    """The array decision gives the set reference's status, reason and pair,
+    and a found pair verifies."""
+    got = decide_root_adjacent(d, r, name)
+    expected = reference_decide_root_adjacent(d, r, name)
+    assert (got.status, got.reason) == (expected.status, expected.reason)
+    if got.found:
+        assert verify_good_pair(d, got.pair).ok
+        for kind in ("out_branching", "in_branching"):
+            assert getattr(got.pair, kind).arcs == getattr(expected.pair, kind).arcs
+
+
+class TestAgainstSetReference:
+    @settings(max_examples=150)
+    @given(
+        st.integers(2, 7),
+        st.integers(1, 3),
+        st.sampled_from([0.0, 0.3, 0.6]),
+        st.integers(0, 10**6),
+        st.data(),
+    )
+    def test_restrictions_of_seeded_specs(self, t, hi, p, seed, data):
+        spec = gen_composition(t, (1, hi), p, "semicomplete", seed)
+        q = materialize(spec)
+        r = data.draw(st.integers(0, q.vertex_count - 1), label="root")
+        nr = closed_neighborhood_restriction(q, r)
+        assert_matches_reference(
+            nr.restricted,
+            nr.root_in_restricted,
+            name=lambda v: str(spec.blob_vertex(nr.kept[v])),
+        )
+
+    @settings(max_examples=300)
+    @given(root_adjacent(max_n=8))
+    def test_random_root_adjacent_digraphs(self, d):
+        assert_matches_reference(d, 0)
+
+    def test_the_tuple_lists_of_the_input_are_not_built(self):
+        # One found and one absent answer, both on restrictions.
+        for spec, status in (
+            (CompositionSpec(DiGraph(3, [(0, 1), (1, 2), (2, 0)]), [DiGraph(1)] * 3), "absent"),
+            (gen_composition(5, (1, 2), 0.3, "semicomplete", 4), "found"),
+        ):
+            q = materialize(spec)
+            nr = closed_neighborhood_restriction(q, 0)
+            d = nr.restricted
+            assert decide_root_adjacent(d, nr.root_in_restricted).status == status
+            assert "out_adj" not in d.__dict__ and "in_adj" not in d.__dict__
+
+
+def reversed_digraph(d: DiGraph) -> DiGraph:
+    return DiGraph(d.vertex_count, [(v, u) for u, v in d.arcs_in_order()])
+
+
+def permuted_digraph(d: DiGraph, perm: list[int]) -> DiGraph:
+    return DiGraph(d.vertex_count, [(perm[u], perm[v]) for u, v in d.arcs_in_order()])
+
+
+@st.composite
+def seeded_roots(draw):
+    """A seeded semicomplete spec of 3 to 12 blobs of 1 to 3 vertices, too
+    large for the oracle, and a root in it."""
+    t, hi = draw(st.integers(3, 12)), draw(st.integers(1, 3))
+    p, seed = draw(st.sampled_from([0.0, 0.3, 0.6])), draw(st.integers(0, 10**6))
+    spec = gen_composition(t, (1, hi), p, "semicomplete", seed)
+    return spec, spec.blob_vertex(draw(st.integers(0, spec.total_vertices - 1)))
+
+
+class TestRelations:
+    """Reversal and relabelling keep the status, at sizes past the oracle."""
+
+    @settings(max_examples=40)
+    @given(seeded_roots())
+    def test_reversal_keeps_the_status(self, spec_root):
+        spec, root = spec_root
+        rev = CompositionSpec(
+            reversed_digraph(spec.outer), [reversed_digraph(h) for h in spec.blobs]
+        )
+        assert decide_semicomplete(rev, root).status == decide_semicomplete(spec, root).status
+        # On the restriction, reversal swaps O and I.
+        nr = closed_neighborhood_restriction(materialize(spec), spec.global_id(root))
+        d, r = nr.restricted, nr.root_in_restricted
+        assert decide_root_adjacent(reversed_digraph(d), r).status == (
+            decide_root_adjacent(d, r).status
+        )
+
+    @settings(max_examples=40)
+    @given(seeded_roots(), st.data())
+    def test_relabelling_keeps_the_status(self, spec_root, data):
+        spec, root = spec_root
+        t = spec.blob_count
+        outer_perm = data.draw(st.permutations(range(t)), label="outer")
+        inner_perms = [
+            data.draw(st.permutations(range(spec.blob_size(i + 1))), label=f"blob {i + 1}")
+            for i in range(t)
+        ]
+        blobs = [None] * t
+        for i, h in enumerate(spec.blobs):
+            blobs[outer_perm[i]] = permuted_digraph(h, inner_perms[i])
+        image = CompositionSpec(permuted_digraph(spec.outer, outer_perm), blobs)
+        i, j = root.blob - 1, root.layer - 1
+        moved = BlobVertex(outer_perm[i] + 1, inner_perms[i][j] + 1)
+        assert decide_semicomplete(image, moved).status == decide_semicomplete(spec, root).status
+
+    @pytest.mark.parametrize("m", [1, 2, 10, 500])
+    def test_three_cycle_with_arcless_blobs(self, c3, m):
+        """Orders (1, 1, M) and (1, M, 1) have no good pair at 1.1; (1, M, M)
+        has one from M = 2 on."""
+        def decide(*sizes):
+            spec = CompositionSpec(c3, [DiGraph(k) for k in sizes])
+            return spec, decide_semicomplete(spec, BlobVertex(1, 1))
+
+        assert decide(1, 1, m)[1].absent
+        assert decide(1, m, 1)[1].absent
+        if m >= 2:
+            spec, found = decide(1, m, m)
+            assert found.found
+            assert verify_good_pair(materialize(spec), found.pair).ok
