@@ -51,8 +51,8 @@ spec = CompositionSpec(bior, [DiGraph(2), DiGraph(1), DiGraph(1)])
 q = materialize(spec)
 r = 0
 nr = closed_neighborhood_restriction(q, r)
-print(f"\nbiorientation outer, root {r}: kept {list(nr.kept)}, "
-      f"removed {sorted(nr.removed)}")
+print(f"\nbiorientation outer, root {r}: kept {nr.kept.tolist()}, "
+      f"removed {nr.removed.tolist()}")
 inner = decide_good_pair_exact(nr.restricted, nr.root_in_restricted)
 print(f"pair on the restriction: {inner.status}")
 lifted = lift_good_pair(q, nr, inner.pair)

@@ -122,8 +122,8 @@ def _cmd_shrink(args: argparse.Namespace) -> int:
         print(f"shrink failed: {result.message}", file=sys.stderr)
         return EXIT_INVALID
     doc = {
-        "kept": list(nr.kept),
-        "removed": sorted(nr.removed),
+        "kept": nr.kept.tolist(),
+        "removed": nr.removed.tolist(),
         "pair": gio.good_pair_doc(result.pair),
     }
     print(json.dumps(doc))

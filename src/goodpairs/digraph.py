@@ -226,20 +226,25 @@ class DiGraph:
 
 
 def induced_subgraph(d: DiGraph, kept: Iterable[int]) -> DiGraph:
-    """Subgraph induced by ``kept``, re-indexed by position in sorted order.
+    """Subgraph induced by ``kept``, re-indexed by position in sorted order;
+    an id out of range raises, naming the smallest, and repeats collapse."""
+    ids = _exact_ids(list(kept))
+    bad = (ids < 0) | (ids >= d.vertex_count)
+    if bad.any():
+        d.check_vertex(int(ids[bad].min()))
+    mask = np.zeros(d.vertex_count, dtype=bool)
+    mask[ids] = True
+    return _cut(d, mask)
 
-    The arcs are cut from ``d``'s arrays; the re-indexing is monotone, so
-    they stay sorted."""
-    kept_sorted = sorted(set(kept))
-    for v in kept_sorted:
-        d.check_vertex(v)
-    if not kept_sorted:
-        return DiGraph(0)
-    ids = _exact_ids(kept_sorted)
-    tails, heads = np.searchsorted(ids, d.tails), np.searchsorted(ids, d.heads)
-    inside = ids.take(tails, mode="clip") == d.tails
-    inside &= ids.take(heads, mode="clip") == d.heads
-    return DiGraph.from_sorted_arrays(len(ids), tails[inside], heads[inside])
+
+def _cut(d: DiGraph, mask: np.ndarray) -> DiGraph:
+    """Subgraph induced by the vertices that ``mask``, one bool per vertex
+    of ``d``, marks, re-indexed in vertex order.  The re-indexing is
+    monotone, so the arcs cut from ``d``'s arrays stay sorted."""
+    new_id = np.cumsum(mask) - 1
+    inside = mask[d.tails] & mask[d.heads]
+    tails, heads = new_id[d.tails[inside]], new_id[d.heads[inside]]
+    return DiGraph.from_sorted_arrays(int(np.count_nonzero(mask)), tails, heads)
 
 
 # Vertex count from which `bfs_pointers` runs its numpy engine over the

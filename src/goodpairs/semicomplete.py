@@ -2,10 +2,12 @@
 
 A strong semicomplete composition has a good pair at r exactly when the
 subgraph induced by r and its neighbourhood does, so the decision reduces to
-the closed-neighbourhood restriction.  The reduction is constructive both
-ways: `lift_good_pair` grows a pair of the restriction into one of the full
-graph, `shrink_good_pair` prunes a pair of the full graph down to the
-restriction.  On the restriction every vertex is adjacent to r, and
+the closed-neighbourhood restriction, cut from Q by one vertex mask and
+held with ascending int64 arrays of the kept and the removed ids.  The
+reduction is constructive both ways: `lift_good_pair` grows a pair of the
+restriction into one of the full graph, `shrink_good_pair` prunes a pair of
+the full graph down to the restriction.  On the restriction every vertex is
+adjacent to r, and
 `decide_root_adjacent` settles it in linear time by Hall's condition on a
 small requirement graph, read off the restriction's sorted arc arrays
 through vertex and arc masks.
@@ -31,12 +33,12 @@ from .digraph import (
     Branching,
     DiGraph,
     GoodPair,
+    _cut,
     _fifo_pointers,
     _neighbour_lists,
     _tarjan,
     find_in_branching,
     find_out_branching,
-    induced_subgraph,
     is_strong,
     require_good_pair,
     verify_good_pair,
@@ -51,30 +53,29 @@ from .oracle import Decision, decide_good_pair_exact  # noqa: F401
 class NeighborhoodRestriction:
     """The subgraph induced by a root and all its in-/out-neighbours.
 
-    ``kept`` lists the original ids of the restriction's vertices in
-    ascending order (position = new id); ``removed`` holds the original ids
-    of the vertices non-adjacent to the root.
+    ``kept`` and ``removed`` are ascending, read-only int64 arrays that
+    partition the original ids: ``kept`` holds the restriction's vertices
+    (position = new id), ``removed`` the vertices non-adjacent to the root.
     """
 
     restricted: DiGraph
-    kept: tuple[int, ...]
-    removed: frozenset[int]
+    kept: np.ndarray
+    removed: np.ndarray
     root_in_restricted: int
 
 
 def closed_neighborhood_restriction(q: DiGraph, r: int) -> NeighborhoodRestriction:
-    """Restrict ``q`` to the root plus everything adjacent to it, read off
-    ``q``'s arc arrays."""
+    """Restrict ``q`` to the root plus everything adjacent to it: one vertex
+    mask marked from ``q``'s arc arrays cuts the digraph and splits the ids."""
     q.check_vertex(r, "root")
-    ends = (q.heads[q.tails == r], q.tails[q.heads == r], [r])
-    kept = tuple(np.unique(np.concatenate(ends)).tolist())
-    removed = frozenset(range(q.vertex_count)).difference(kept)
-    return NeighborhoodRestriction(
-        restricted=induced_subgraph(q, kept),
-        kept=kept,
-        removed=removed,
-        root_in_restricted=kept.index(r),
-    )
+    mask = np.zeros(q.vertex_count, dtype=bool)
+    mask[q.heads[q.tails == r]] = True
+    mask[q.tails[q.heads == r]] = True
+    mask[r] = True
+    kept, removed = np.flatnonzero(mask), np.flatnonzero(~mask)
+    kept.flags.writeable = removed.flags.writeable = False
+    root_in_restricted = int(np.count_nonzero(mask[:r]))
+    return NeighborhoodRestriction(_cut(q, mask), kept, removed, root_in_restricted)
 
 
 def lift_good_pair(
@@ -95,13 +96,13 @@ def lift_good_pair(
     """
     # Restricted ids map to original ids in ascending order, and the arc
     # arrays are sorted, so the root's feeders and fed vertices come out sorted.
-    kept = np.array(nr.kept, dtype=np.int64)
+    kept = nr.kept
     out_b, in_b = restricted_pair.out_branching, restricted_pair.in_branching
     root = restricted_pair.root
-    r = nr.kept[root]
+    r = int(kept[root])
     root_feeders = kept[in_b.tails[in_b.heads == root]].tolist()
     root_fed = kept[out_b.heads[out_b.tails == root]].tolist()
-    others = [v for v in nr.kept if v != r]
+    others = kept[kept != r].tolist()
     out_parent = np.full(q.vertex_count, -1, dtype=np.int64)
     out_parent[kept[out_b.heads]] = kept[out_b.tails]
     in_next = np.full(q.vertex_count, -1, dtype=np.int64)
@@ -114,7 +115,7 @@ def lift_good_pair(
     )
     stuck = []
     for k, (pointer, preferred, problem) in enumerate(kinds):
-        left = np.array(sorted(nr.removed), dtype=np.int64)
+        left = nr.removed
         for v in chain(preferred, others):
             if not len(left):
                 break
@@ -164,11 +165,9 @@ def shrink_good_pair(
     disjointness of the two trees survives.
     """
     require_good_pair(q, gp, "input pair")
-    r = gp.root
-    root = nr.root_in_restricted
-    if r != nr.kept[root]:
-        raise ValueError(f"pair root {r} is not the restriction's root {nr.kept[root]}")
-    kept = np.array(nr.kept, dtype=np.int64)
+    r, root, kept = gp.root, nr.root_in_restricted, nr.kept
+    if r != kept[root]:
+        raise ValueError(f"pair root {r} is not the restriction's root {kept[root]}")
     to_restricted = np.full(q.vertex_count, -1, dtype=np.int64)
     to_restricted[kept] = np.arange(len(kept))
     others = kept[kept != r]
@@ -254,7 +253,7 @@ def decide_root_adjacent(
     # O and I are disjoint, so one lookup holds both kinds; -1 for none.
     req = np.full(n, -1, dtype=np.int64)
     for k, comp in enumerate(requirements):
-        req[list(comp)] = k
+        req[comp] = k
 
     # One union-find pass over the O->I arcs that serve a requirement, in
     # array order: by tail, then head.
@@ -324,10 +323,10 @@ def _unreached(n: int, keys: np.ndarray, values: np.ndarray, sources: list[int])
 
 def _source_components(
     d: DiGraph, vertices: np.ndarray, reverse: bool
-) -> list[frozenset[int]]:
+) -> list[list[int]]:
     """Initial strong components of d[vertices], ``vertices`` a mask, or
     terminal ones with ``reverse``: those no arc of d[vertices] enters
-    (leaves), by min."""
+    (leaves), each listed ascending, by min."""
     if not vertices.any():
         return []
     inside = vertices[d.tails] & vertices[d.heads]
@@ -336,25 +335,27 @@ def _source_components(
         tails, heads = heads, tails
     adj = _neighbour_lists(d.vertex_count, tails, heads)
     components = _tarjan(adj, np.flatnonzero(vertices).tolist())
-    comp_of = {v: k for k, comp in enumerate(components) for v in comp}
-    pairs = zip(tails.tolist(), heads.tolist())
-    entered = {comp_of[w] for u, w in pairs if comp_of[w] != comp_of[u]}
-    sources = [frozenset(c) for k, c in enumerate(components) if k not in entered]
+    comp_of = np.empty(d.vertex_count, dtype=np.int64)
+    for k, comp in enumerate(components):
+        comp_of[comp] = k
+    tail_comp, head_comp = comp_of[tails], comp_of[heads]
+    entered = np.bincount(head_comp[tail_comp != head_comp], minlength=len(components))
+    sources = [sorted(c) for c, e in zip(components, entered.tolist()) if not e]
     return sorted(sources, key=min)
 
 
 def _deficiency(
     root: int,
     find: Callable[[int], int],
-    requirements: list[frozenset[int]],
+    requirements: list[list[int]],
     in_count: int,
     serving: Iterable[tuple[Arc, int]],
     name: Callable[[int], str],
 ) -> str:
     """Name the requirements of one deficient component and its arcs."""
 
-    def group(comp: frozenset[int]) -> str:
-        return "{" + ", ".join(name(v) for v in sorted(comp)) + "}"
+    def group(comp: list[int]) -> str:
+        return "{" + ", ".join(map(name, comp)) + "}"
 
     members = [k for k in range(len(requirements)) if find(k) == root]
     enter = [group(requirements[k]) for k in members if k < in_count]
@@ -396,7 +397,7 @@ def decide_semicomplete(spec: CompositionSpec, root: BlobVertex) -> Decision:
     inner = decide_root_adjacent(
         nr.restricted,
         nr.root_in_restricted,
-        name=lambda v: str(spec.blob_vertex(nr.kept[v])),
+        name=lambda v: str(spec.blob_vertex(int(nr.kept[v]))),
     )
     if inner.pair is None:
         return inner

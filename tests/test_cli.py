@@ -186,6 +186,17 @@ def test_decide_sc_absent_in_under_a_second(tmp_path, capsys):
     assert "deficient requirement component" in captured.err
 
 
+def test_decide_sc_past_a_million_vertices(tmp_path, capsys):
+    # Blobs (1, 1, 999 999) on the 3-cycle: 1,000,001 vertices and
+    # 1,999,999 arcs, within materialize's arc limit.
+    p = tmp_path / "spec.json"
+    p.write_text(SPEC_C3_K1.replace('{"n": 1, "arcs": []}]', '{"n": 999999, "arcs": []}]'))
+    assert main(["decide-sc", str(p), "--root", "3.1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == '{"status": "absent"}\n'
+    assert "deficient requirement component" in captured.err
+
+
 def test_oracle_absent_on_c3(tmp_path, capsys):
     p = tmp_path / "c3.json"
     p.write_text(C3)

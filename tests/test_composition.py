@@ -71,9 +71,10 @@ class TestMaterialize:
         spec = spec_c3_k2bar()
         assert spec.arc_count() == len(materialize(spec).arcs)
 
-    def test_vertex_limit_reported(self):
-        with pytest.raises(ValueError, match="6 vertices, over the limit of 5"):
-            materialize(spec_c3_k2bar(), max_vertices=5)
+    def test_only_arcs_are_limited(self):
+        # Past a million vertices, with no arc to build.
+        q = materialize(CompositionSpec(DiGraph(1), [DiGraph(1_000_001)]))
+        assert (q.vertex_count, q.arc_count) == (1_000_001, 0)
 
     def test_matches_reference_on_c4_specs(self):
         """The specs of acceptance criterion C4: semicomplete outers, blobs

@@ -1,4 +1,4 @@
-"""Smoke test: every script under demos/ runs to completion."""
+"""Smoke test: every script under demos/ runs to completion and prints\nplain Python values."""
 
 from __future__ import annotations
 
@@ -22,3 +22,5 @@ def test_demo_exits_zero(demo):
         [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
+    # Ids are printed as Python ints, never as numpy scalar reprs.
+    assert "np." not in result.stdout

@@ -468,3 +468,21 @@ def test_induced_subgraph_reindexes():
     sub = induced_subgraph(d, [0, 2, 3])
     assert sub.vertex_count == 3
     assert sub.arcs == frozenset({(0, 1), (1, 2), (2, 0)})
+
+
+@pytest.mark.parametrize(
+    "kept, bad",
+    [([5, 0, 9], 5), ([3, -2, 7, -1], -2), ([2**70, 1], 2**70), ([4], 4)],
+)
+def test_induced_subgraph_names_the_smallest_bad_id(kept, bad):
+    d = DiGraph(4, [(0, 2), (2, 3), (3, 0)])
+    with pytest.raises(ValueError) as raised:
+        induced_subgraph(d, kept)
+    assert str(raised.value) == f"vertex {bad} out of range for 4 vertices"
+
+
+def test_induced_subgraph_collapses_repeats_and_takes_empty():
+    d = DiGraph(4, [(0, 2), (2, 3), (3, 0)])
+    assert induced_subgraph(d, [3, 0, 3, 2, 0]) == induced_subgraph(d, [0, 2, 3])
+    assert induced_subgraph(d, []) == DiGraph(0)
+    assert induced_subgraph(DiGraph(0), []) == DiGraph(0)

@@ -34,30 +34,68 @@ def spec_c3_k2bar():
 class TestRestriction:
     def test_root_adjacent_to_all_keeps_everything(self, bior_k3):
         nr = closed_neighborhood_restriction(bior_k3, 0)
-        assert nr.removed == frozenset()
+        assert nr.removed.tolist() == []
         assert nr.restricted == bior_k3
         assert nr.root_in_restricted == 0
 
     def test_blob_mate_is_removed(self):
         q = materialize(spec_c3_k2bar())
         nr = closed_neighborhood_restriction(q, 0)
-        assert nr.removed == frozenset({1})
-        assert nr.kept == (0, 2, 3, 4, 5)
+        assert nr.removed.tolist() == [1]
+        assert nr.kept.tolist() == [0, 2, 3, 4, 5]
         assert nr.restricted.vertex_count == 5
 
     def test_star_center(self):
         star = DiGraph(4, [(0, 1), (1, 0), (0, 2), (2, 0), (0, 3), (3, 0)])
         nr = closed_neighborhood_restriction(star, 0)
-        assert nr.removed == frozenset()
+        assert nr.removed.tolist() == []
 
     def test_partition(self):
         q = materialize(spec_c3_k2bar())
         for r in range(q.vertex_count):
             nr = closed_neighborhood_restriction(q, r)
-            assert set(nr.kept) | nr.removed == set(range(q.vertex_count))
-            assert not set(nr.kept) & nr.removed
-            for u in nr.removed:
+            kept, removed = nr.kept.tolist(), nr.removed.tolist()
+            assert set(kept) | set(removed) == set(range(q.vertex_count))
+            assert not set(kept) & set(removed)
+            for u in removed:
                 assert not q.has_arc(r, u) and not q.has_arc(u, r)
+
+
+    def test_kept_and_removed_are_read_only_int64_arrays(self):
+        for spec in (spec_c3_k2bar(), gen_composition(6, (1, 3), 0.3, "semicomplete", 5)):
+            q = materialize(spec)
+            for r in range(q.vertex_count):
+                nr = closed_neighborhood_restriction(q, r)
+                for ids in (nr.kept, nr.removed):
+                    assert ids.dtype == np.int64 and not ids.flags.writeable
+                    assert (np.diff(ids) > 0).all()
+                merged = np.concatenate((nr.kept, nr.removed))
+                assert sorted(merged.tolist()) == list(range(q.vertex_count))
+                assert nr.kept[nr.root_in_restricted] == r
+                assert nr.restricted.vertex_count == len(nr.kept)
+
+    @given(digraphs(min_n=1, max_n=7), st.data())
+    def test_matches_the_neighbourhood_read_arc_by_arc(self, d, data):
+        r = data.draw(st.integers(0, d.vertex_count - 1), label="root")
+        nr = closed_neighborhood_restriction(d, r)
+        kept = sorted({r} | {v for u, v in d.arcs if u == r} | {u for u, v in d.arcs if v == r})
+        assert nr.kept.tolist() == kept
+        assert nr.root_in_restricted == kept.index(r)
+        inside = [(kept.index(u), kept.index(v)) for u, v in d.arcs if u in kept and v in kept]
+        assert nr.restricted == DiGraph(len(kept), inside)
+
+    def test_checks_only_the_root(self, monkeypatch):
+        q = materialize(gen_composition(5, (1, 3), 0.0, "semicomplete", 2))
+        checked = []
+        check_vertex = DiGraph.check_vertex
+
+        def counting(d, v, what="vertex"):
+            checked.append((v, what))
+            return check_vertex(d, v, what)
+
+        monkeypatch.setattr(DiGraph, "check_vertex", counting)
+        closed_neighborhood_restriction(q, 3)
+        assert checked == [(3, "root")]
 
 
 class TestLift:
@@ -87,7 +125,7 @@ class TestLift:
         spec = CompositionSpec(c3, [h1, DiGraph(2), DiGraph(2)])
         q = materialize(spec)
         nr = closed_neighborhood_restriction(q, 0)
-        assert nr.removed == frozenset()
+        assert nr.removed.tolist() == []
 
     def test_invalid_restricted_pair_rejected(self):
         spec = spec_c3_k2bar()
@@ -161,7 +199,7 @@ class TestShrink:
         )
         assert verify_good_pair(q, pair).ok
         nr = closed_neighborhood_restriction(q, r)
-        assert nr.removed == frozenset({4})
+        assert nr.removed.tolist() == [4]
         result = shrink_good_pair(q, nr, pair)
         assert not result.ok
         assert result.stuck_vertex == 4
@@ -319,7 +357,7 @@ class TestSourceComponents:
         expected = reference_source_components(d, vertices, reverse)
         mask = np.zeros(d.vertex_count, dtype=bool)
         mask[list(vertices)] = True
-        assert _source_components(d, mask, reverse) == expected
+        assert _source_components(d, mask, reverse) == [sorted(c) for c in expected]
 
 
 def assert_matches_reference(d, r, name=str):
