@@ -1,7 +1,9 @@
 """Simple digraphs with connectivity primitives, branchings, and verification.
 
 Vertices are the integers ``0 .. vertex_count - 1``.  Arcs are ordered pairs
-``(tail, head)``; loops and parallel arcs are not representable.  Everything
+``(tail, head)``; loops and parallel arcs are not representable.  A digraph
+holds its arcs as sorted arrays and its neighbour lists in one form, CSR
+arrays, which every search, Tarjan pass and the oracle read.  Everything
 here is immutable after construction and safe to share between threads.
 """
 
@@ -15,6 +17,10 @@ from typing import Iterable, Literal, Sequence
 import numpy as np
 
 Arc = tuple[int, int]
+
+# Neighbour lists as two read-only int64 arrays ``(indptr, neighbours)``: v's
+# list is ``neighbours[indptr[v]:indptr[v+1]]``.  `_csr` builds them.
+CSR = tuple[np.ndarray, np.ndarray]
 
 BranchingKind = Literal["out", "in"]
 
@@ -68,21 +74,19 @@ def _members(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return np.take(sorted_keys, pos, mode="clip", out=pos) == keys
 
 
-def _neighbour_lists(n: int, keys: np.ndarray, values: np.ndarray) -> list[list[int]]:
-    """n lists: ``adj[k]`` holds the ``values[j]`` with ``keys[j] == k``, in array order."""
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for k, v in zip(keys.tolist(), values.tolist()):
-        adj[k].append(v)
-    return adj
-
-
-def _csr(n: int, keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(indptr, values)`` for arcs grouped by ascending ``keys``."""
+def _csr(n: int, tails: np.ndarray, heads: np.ndarray, reverse: bool = False) -> CSR:
+    """The out-neighbour lists (in-neighbour lists with ``reverse``),
+    ascending, of the arcs ``(tails[k], heads[k])`` sorted by (tail, head),
+    placed by ``bincount``.  In-lists sort the arcs by head stably, as
+    uint16 (radix) up to 2^16 vertices."""
+    if reverse:
+        order = np.argsort(heads.astype(np.uint16) if n <= 1 << 16 else heads, kind="stable")
+        tails, heads = heads[order], tails[order]
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys, minlength=n), out=indptr[1:])
-    values = np.asarray(values, dtype=np.int64)
-    indptr.flags.writeable = values.flags.writeable = False
-    return indptr, values
+    np.cumsum(np.bincount(tails, minlength=n), out=indptr[1:])
+    neighbours = np.asarray(heads, dtype=np.int64)
+    indptr.flags.writeable = neighbours.flags.writeable = False
+    return indptr, neighbours
 
 
 # The largest vertex count n for which ``n * n`` fits int64.
@@ -99,9 +103,8 @@ class DiGraph:
     them in that order, so an error names the smallest bad arc;
     `from_sorted_arrays` takes the arrays as given.  Derived on first use:
     ``arcs``, a frozenset of ``(tail, head)`` int pairs, and the neighbour
-    lists as tuples (`out_adj`, `in_adj`) for the Python loops and as CSR
-    arrays (`out_csr`, `in_csr`) for searches of large digraphs.  Digraphs
-    compare by vertex count and arcs.
+    lists in one form, the CSR arrays `out_csr` and `in_csr`, which every
+    search and Tarjan pass reads.  Digraphs compare by vertex count and arcs.
     """
 
     vertex_count: int
@@ -148,38 +151,14 @@ class DiGraph:
         return zip(self.tails.tolist(), self.heads.tolist())
 
     @cached_property
-    def out_adj(self) -> tuple[tuple[int, ...], ...]:
-        """Out-neighbour lists, each sorted ascending."""
-        return tuple(map(tuple, _neighbour_lists(self.vertex_count, self.tails, self.heads)))
-
-    @cached_property
-    def in_adj(self) -> tuple[tuple[int, ...], ...]:
-        """In-neighbour lists, each sorted ascending: the arcs read in order of tail."""
-        return tuple(map(tuple, _neighbour_lists(self.vertex_count, self.heads, self.tails)))
-
-    @cached_property
-    def out_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Out-neighbour lists as read-only int64 ``(indptr, neighbours)``:
-        v's out-neighbours, ascending, are ``neighbours[indptr[v]:indptr[v+1]]``."""
+    def out_csr(self) -> CSR:
+        """Out-neighbour lists, ascending."""
         return _csr(self.vertex_count, self.tails, self.heads)
 
     @cached_property
-    def in_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """In-neighbour lists in the form of `out_csr`: the arcs in order of
-        head by one stable argsort, so each list keeps its tails ascending.
-        Up to 2^16 vertices it sorts the heads as uint16, which numpy
-        radix-sorts, for the same order."""
-        radix = self.vertex_count <= 1 << 16
-        order = np.argsort(self.heads.astype(np.uint16) if radix else self.heads, kind="stable")
-        return _csr(self.vertex_count, self.heads[order], self.tails[order])
-
-    def out_neighbours(self, v: int) -> Sequence[int]:
-        """v's out-neighbours, ascending, read from the lists that
-        `bfs_pointers` searches at this vertex count."""
-        if self.vertex_count < CSR_SEARCH_MIN_VERTICES:
-            return self.out_adj[v]
-        indptr, neighbours = self.out_csr
-        return neighbours[indptr[v] : indptr[v + 1]].tolist()
+    def in_csr(self) -> CSR:
+        """In-neighbour lists, ascending."""
+        return _csr(self.vertex_count, self.tails, self.heads, reverse=True)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DiGraph):
@@ -247,10 +226,10 @@ def _cut(d: DiGraph, mask: np.ndarray) -> DiGraph:
     return DiGraph.from_sorted_arrays(int(np.count_nonzero(mask)), tails, heads)
 
 
-# Vertex count from which `bfs_pointers` runs its numpy engine over the
-# CSR; below it, the FIFO loop over the tuple adjacency.  Chosen from the
-# measured crossover of the two engines on sparse and semicomplete digraphs
-# (CHANGES.md), not from any workload's size.
+# Vertex count from which `bfs_pointers` runs its numpy engine; below it,
+# the FIFO loop.  Both read the same CSR, so this picks an algorithm, not a
+# form.  Chosen from the measured crossover of the two engines on sparse and
+# semicomplete digraphs (CHANGES.md), not from any workload's size.
 CSR_SEARCH_MIN_VERTICES = 4096
 
 
@@ -266,24 +245,30 @@ def bfs_pointers(
     search stops as soon as every vertex is reached, or ``target`` (when not
     -1) is.
 
-    Two engines give the same pointers.  Below `CSR_SEARCH_MIN_VERTICES`
-    vertices, a FIFO loop reads the tuple lists `out_adj`/`in_adj` and
-    returns a list.  A small search then costs a few microseconds, less than
+    Two engines read ``out_csr`` (``in_csr`` with ``reverse``) and give the
+    same pointers; `_search` picks one by vertex count.  Below
+    `CSR_SEARCH_MIN_VERTICES`, `_fifo_pointers` pops one vertex at a time
+    and returns a list: a small search costs a few microseconds, less than
     numpy's fixed cost per call, and on a dense digraph it stops after a few
-    lists.  From there up, `_csr_pointers` reads `out_csr`/`in_csr` with
-    whole-array steps and returns an int64 array, so a large digraph never
-    builds its tuples.
+    lists.  From there up, `_csr_pointers` serves the queue in whole-array
+    steps and returns an int64 array.
     """
-    if d.vertex_count < CSR_SEARCH_MIN_VERTICES:
-        return _fifo_pointers(d.in_adj if reverse else d.out_adj, sources, target)
-    return _csr_pointers(d.in_csr if reverse else d.out_csr, sources, target)
+    return _search(d.in_csr if reverse else d.out_csr, sources, target)
 
 
-def _fifo_pointers(
-    adj: Sequence[Sequence[int]], sources: Iterable[int], target: int = -1
-) -> list[int]:
-    """`bfs_pointers` by a FIFO queue over the neighbour lists ``adj``."""
-    pointer = [-1] * len(adj)
+def _search(csr: CSR, sources: Iterable[int], target: int = -1) -> Sequence[int]:
+    """`bfs_pointers` over the lists ``csr``."""
+    if len(csr[0]) - 1 < CSR_SEARCH_MIN_VERTICES:
+        return _fifo_pointers(csr, sources, target)
+    return _csr_pointers(csr, sources, target)
+
+
+def _fifo_pointers(csr: CSR, sources: Iterable[int], target: int = -1) -> list[int]:
+    """`bfs_pointers` by a FIFO queue over the lists ``csr``, converting to
+    Python ints only the list of each vertex it pops."""
+    start, neighbours = csr[0].tolist(), csr[1]
+    n = len(start) - 1
+    pointer = [-1] * n
     queue = []
     for s in sources:
         if pointer[s] == -1:
@@ -291,11 +276,11 @@ def _fifo_pointers(
             queue.append(s)
     if target >= 0 and pointer[target] != -1:
         return pointer
-    left = len(adj) - len(queue)
+    left = n - len(queue)
     for u in queue:  # the loop also reads what it appends: a FIFO queue
         if not left:
             break
-        for w in adj[u]:
+        for w in neighbours[start[u] : start[u + 1]].tolist():
             if pointer[w] == -1:
                 pointer[w] = u
                 if w == target:
@@ -305,11 +290,9 @@ def _fifo_pointers(
     return pointer
 
 
-def _csr_pointers(
-    csr: tuple[np.ndarray, np.ndarray], sources: Iterable[int], target: int = -1
-) -> np.ndarray:
-    """`bfs_pointers` over the CSR ``(indptr, neighbours)``: the same FIFO
-    queue, served a run of vertices per whole-array step.
+def _csr_pointers(csr: CSR, sources: Iterable[int], target: int = -1) -> np.ndarray:
+    """`bfs_pointers` over the lists ``csr``: the same FIFO queue, served a
+    run of vertices per whole-array step.
 
     A step gathers the arcs of the queue's first vertices in queue order,
     drops heads already reached, and keeps each new head's first occurrence,
@@ -369,13 +352,14 @@ def cycle_through(d: DiGraph, v: int) -> tuple[int, ...]:
     the sources: by induction on the level, the FIFO queue holds every level
     in order of those sources, and a vertex points at the first vertex of
     the level before it that has an arc to it.  So from ``v`` they lead back
-    to w.  The second search runs from w alone.  A large digraph is searched
-    over its CSR, and its tuple adjacency is never built.
+    to w.  The second search runs from w alone.  Both read ``out_csr``, the
+    first its slice of v's out-neighbours.
     """
     d.check_vertex(v)
     if d.vertex_count < 2:
         raise ValueError("need at least two vertices to have a cycle")
-    pointer = bfs_pointers(d, d.out_neighbours(v), target=v)
+    indptr, neighbours = d.out_csr
+    pointer = bfs_pointers(d, neighbours[indptr[v] : indptr[v + 1]].tolist(), target=v)
     if pointer[v] == -1:
         raise ValueError(f"no cycle through vertex {v}: digraph is not strong")
     w = int(pointer[v])
@@ -393,29 +377,44 @@ def strong_components(d: DiGraph) -> tuple[list[frozenset[int]], DiGraph]:
 
     Components are returned in a topological order of the condensation
     (arcs of the condensation go from lower to higher component index).
+    The condensation's arcs are the distinct label pairs of the arcs that
+    cross components, found by one `np.unique` of their keys.
     """
-    n = d.vertex_count
-    components = [frozenset(c) for c in reversed(_tarjan(d.out_adj, range(n)))]
-    comp_of = {v: i for i, comp in enumerate(components) for v in comp}
-    cond_arcs = {
-        (comp_of[u], comp_of[v]) for u, v in d.arcs_in_order() if comp_of[u] != comp_of[v]
-    }
-    return components, DiGraph(len(components), cond_arcs)
+    components = _tarjan(d.out_csr, range(d.vertex_count))[::-1]
+    c = len(components)
+    label = _component_labels(d.vertex_count, components)
+    tails, heads = label[d.tails], label[d.heads]
+    cross = tails != heads
+    keys = np.unique(tails[cross] * c + heads[cross])
+    condensation = DiGraph.from_sorted_arrays(c, keys // c, keys % c)
+    return [frozenset(comp) for comp in components], condensation
 
 
-def _tarjan(adj: Sequence[Sequence[int]], vertices: Sequence[int]) -> list[list[int]]:
+def _component_labels(n: int, components: Sequence[Sequence[int]]) -> np.ndarray:
+    """int64 array of n labels: k at the vertices of ``components[k]``, -1
+    at any vertex in none."""
+    label = [-1] * n
+    for k, comp in enumerate(components):
+        for v in comp:
+            label[v] = k
+    return np.array(label, dtype=np.int64)
+
+
+def _tarjan(csr: CSR, vertices: Sequence[int]) -> list[list[int]]:
     """Strong components of the subgraph that ``vertices`` induce in the
-    digraph of neighbour lists ``adj``, each listed after every component
-    it reaches.  Iterative Tarjan, so large graphs do not hit the recursion
-    limit.
+    digraph of the neighbour lists ``csr``, each listed after every
+    component it reaches.  Iterative Tarjan, so large graphs do not hit the
+    recursion limit.
     """
+    start, neighbours = (a.tolist() for a in csr)
+    n = len(start) - 1
     # A vertex outside the subgraph looks finished and off the stack, as a
     # vertex of an earlier component does, so the search never enters it.
-    index = [-2] * len(adj)
+    index = [-2] * n
     for v in vertices:
         index[v] = -1
-    lowlink = [0] * len(adj)
-    on_stack = bytearray(len(adj))
+    lowlink = [0] * n
+    on_stack = bytearray(n)
     stack: list[int] = []
     counter = 0
     components: list[list[int]] = []
@@ -423,52 +422,45 @@ def _tarjan(adj: Sequence[Sequence[int]], vertices: Sequence[int]) -> list[list[
     for root in vertices:
         if index[root] != -1:
             continue
-        # Explicit DFS stack of (vertex, next-neighbour position).
-        work = [(root, 0)]
+        # Explicit DFS stack of (vertex, position of its next arc).
+        work = [(root, start[root])]
         while work:
             v, pos = work.pop()
-            if pos == 0:
+            if pos == start[v]:
                 index[v] = lowlink[v] = counter
                 counter += 1
                 stack.append(v)
                 on_stack[v] = 1
-            recurse = False
-            neighbours = adj[v]
-            while pos < len(neighbours):
+            end = start[v + 1]
+            while pos < end:
                 w = neighbours[pos]
                 pos += 1
-                if index[w] == -1:
-                    work.append((v, pos))
-                    work.append((w, 0))
-                    recurse = True
+                if index[w] == -1:  # descend; v resumes at its next arc
+                    work += ((v, pos), (w, start[w]))
                     break
-                if on_stack[w]:
-                    if index[w] < lowlink[v]:
-                        lowlink[v] = index[w]
-            if recurse:
-                continue
-            if lowlink[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = 0
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(comp)
-            if work:
-                parent = work[-1][0]
-                if lowlink[v] < lowlink[parent]:
-                    lowlink[parent] = lowlink[v]
+                if on_stack[w] and index[w] < lowlink[v]:
+                    lowlink[v] = index[w]
+            else:  # every arc of v is read: v is finished
+                if lowlink[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = 0
+                        comp.append(w)
+                        if w == v:
+                            break
+                    components.append(comp)
+                if work and lowlink[v] < lowlink[work[-1][0]]:
+                    lowlink[work[-1][0]] = lowlink[v]
     return components
 
 
 def is_strong(d: DiGraph) -> bool:
     """True iff the digraph has at most one strong component.
 
-    Cheaper than Tarjan: two `bfs_pointers` searches check that vertex 0
-    reaches every vertex and every vertex reaches it, over the CSR on a
-    large digraph, so no tuple adjacency is built there.
+    Cheaper than Tarjan: two `bfs_pointers` searches, over ``out_csr`` and
+    ``in_csr``, check that vertex 0 reaches every vertex and every vertex
+    reaches it.
     """
     if d.vertex_count <= 1:
         return True

@@ -61,7 +61,8 @@ def enumerate_out_branchings(
     if -1 in bfs_pointers(d, (r,)):
         return  # some vertex unreachable: no spanning out-branching exists
     vertices = [v for v in range(n) if v != r]
-    in_adj = d.in_adj
+    start, neighbours = (a.tolist() for a in d.in_csr)
+    in_lists = [neighbours[a:b] for a, b in zip(start, start[1:])]
     parent = [-1] * n
     emitted = 0
 
@@ -84,19 +85,15 @@ def enumerate_out_branchings(
                 return
             continue
         v = vertices[pos]
-        candidates = in_adj[v]
-        advanced = False
+        candidates = in_lists[v]
         while idx < len(candidates):
             p = candidates[idx]
             idx += 1
-            if closes_cycle(v, p):
-                continue
-            parent[v] = p
-            stack.append((pos, idx))
-            stack.append((pos + 1, 0))
-            advanced = True
-            break
-        if not advanced:
+            if not closes_cycle(v, p):
+                parent[v] = p
+                stack += ((pos, idx), (pos + 1, 0))
+                break
+        else:  # no candidate left for v: back up
             parent[v] = -1
 
 

@@ -16,6 +16,7 @@ through vertex and arc masks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain
 from typing import Callable, Iterable
 
@@ -33,9 +34,10 @@ from .digraph import (
     Branching,
     DiGraph,
     GoodPair,
+    _component_labels,
+    _csr,
     _cut,
-    _fifo_pointers,
-    _neighbour_lists,
+    _search,
     _tarjan,
     find_in_branching,
     find_out_branching,
@@ -222,8 +224,8 @@ def decide_root_adjacent(
     loops) has at least as many arcs as requirements.
 
     The sides are vertex masks and each group of arcs a mask over ``d``'s
-    sorted arc arrays; the searches run over lists cut from masked arrays,
-    and ``d``'s own neighbour lists are never built.
+    sorted arc arrays; the searches and Tarjan passes read the CSR of the
+    arcs a mask keeps, and ``d``'s own CSR is never built.
 
     On "absent" the reason names a deficient component, writing vertices
     with ``name``.  A "found" pair is not verified here: `decide_semicomplete`
@@ -246,14 +248,12 @@ def decide_root_adjacent(
     o_tail, i_head = o_side[tails], i_side[heads]
     # B | I is N-(r), the vertices feeding r, and B | O is N+(r), those r feeds.
     into_i, out_of_o = i_head & feeding[tails], o_tail & fed[heads]
-    r_i = i_side & _unreached(n, tails[into_i], heads[into_i], sources)
-    r_o = o_side & _unreached(n, heads[out_of_o], tails[out_of_o], sources)
+    r_i = _unreached(d, i_side, into_i, sources, reverse=False)
+    r_o = _unreached(d, o_side, out_of_o, sources, reverse=True)
     in_reqs = _source_components(d, r_i, reverse=False)
     requirements = in_reqs + _source_components(d, r_o, reverse=True)
     # O and I are disjoint, so one lookup holds both kinds; -1 for none.
-    req = np.full(n, -1, dtype=np.int64)
-    for k, comp in enumerate(requirements):
-        req[comp] = k
+    req = _component_labels(n, requirements)
 
     # One union-find pass over the O->I arcs that serve a requirement, in
     # array order: by tail, then head.
@@ -315,15 +315,19 @@ def decide_root_adjacent(
     return Decision("found", pair=GoodPair(r, out_b, in_b))
 
 
-def _unreached(n: int, keys: np.ndarray, values: np.ndarray, sources: list[int]) -> np.ndarray:
-    """Mask of the vertices a FIFO search from ``sources`` along the arcs
-    ``keys[j] -> values[j]`` does not reach."""
-    return np.array(_fifo_pointers(_neighbour_lists(n, keys, values), sources)) < 0
+def _unreached(
+    d: DiGraph, side: np.ndarray, arcs: np.ndarray, sources: list[int], reverse: bool
+) -> np.ndarray:
+    """Mask of the vertices of the mask ``side`` that a breadth-first search
+    from ``sources`` along the arcs of ``d`` under the mask ``arcs``,
+    followed backwards with ``reverse``, does not reach."""
+    if not side.any():
+        return side
+    csr = _csr(d.vertex_count, d.tails[arcs], d.heads[arcs], reverse)
+    return side & (np.asarray(_search(csr, sources)) < 0)
 
 
-def _source_components(
-    d: DiGraph, vertices: np.ndarray, reverse: bool
-) -> list[list[int]]:
+def _source_components(d: DiGraph, vertices: np.ndarray, reverse: bool) -> list[list[int]]:
     """Initial strong components of d[vertices], ``vertices`` a mask, or
     terminal ones with ``reverse``: those no arc of d[vertices] enters
     (leaves), each listed ascending, by min."""
@@ -331,14 +335,12 @@ def _source_components(
         return []
     inside = vertices[d.tails] & vertices[d.heads]
     tails, heads = d.tails[inside], d.heads[inside]
+    csr = _csr(d.vertex_count, tails, heads, reverse)
+    components = _tarjan(csr, np.flatnonzero(vertices).tolist())
+    label = _component_labels(d.vertex_count, components)
+    tail_comp, head_comp = label[tails], label[heads]
     if reverse:
-        tails, heads = heads, tails
-    adj = _neighbour_lists(d.vertex_count, tails, heads)
-    components = _tarjan(adj, np.flatnonzero(vertices).tolist())
-    comp_of = np.empty(d.vertex_count, dtype=np.int64)
-    for k, comp in enumerate(components):
-        comp_of[comp] = k
-    tail_comp, head_comp = comp_of[tails], comp_of[heads]
+        tail_comp, head_comp = head_comp, tail_comp
     entered = np.bincount(head_comp[tail_comp != head_comp], minlength=len(components))
     sources = [sorted(c) for c, e in zip(components, entered.tolist()) if not e]
     return sorted(sources, key=min)
@@ -394,10 +396,15 @@ def decide_semicomplete(spec: CompositionSpec, root: BlobVertex) -> Decision:
         return Decision("found", pair=construct_good_pair(spec, root))
     q = materialize(spec)
     nr = closed_neighborhood_restriction(q, spec.global_id(root))
+
+    @cache  # the names, all at once, for an absent answer only
+    def names() -> list[str]:
+        blobs = np.searchsorted(spec.offsets, nr.kept, side="right")
+        layers = nr.kept - spec.offsets[blobs - 1] + 1
+        return [f"{b}.{k}" for b, k in zip(blobs.tolist(), layers.tolist())]
+
     inner = decide_root_adjacent(
-        nr.restricted,
-        nr.root_in_restricted,
-        name=lambda v: str(spec.blob_vertex(int(nr.kept[v]))),
+        nr.restricted, nr.root_in_restricted, name=lambda v: names()[v]
     )
     if inner.pair is None:
         return inner

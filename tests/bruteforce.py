@@ -279,6 +279,32 @@ def mutually_reachable(d: DiGraph, x: int, y: int) -> bool:
     )
 
 
+def adjacency_lists(d: DiGraph, reverse: bool = False) -> list[list[int]]:
+    """The out-neighbour lists of ``d``, or its in-neighbour lists with
+    ``reverse``, each ascending, appended to arc by arc in sorted order."""
+    adj: list[list[int]] = [[] for _ in range(d.vertex_count)]
+    for u, v in d.arcs_in_order():
+        if reverse:
+            adj[v].append(u)
+        else:
+            adj[u].append(v)
+    return adj
+
+
+# What a DiGraph may hold: its fields and the array forms derived from
+# them, besides the arc set; no neighbour lists of Python ints.
+ARRAY_FORMS = {
+    "vertex_count",
+    "arc_count",
+    "tails",
+    "heads",
+    "out_csr",
+    "in_csr",
+    "_arc_keys",
+    "arcs",
+}
+
+
 def shortest_cycle_through(d: DiGraph, v: int) -> tuple[int, ...] | None:
     """The cycle `goodpairs.cycle_through` should return, as its vertex walk
     v, ..., v, or None when v is on no cycle: a dict-based BFS from each
@@ -323,10 +349,11 @@ def reference_source_components(
     if reverse:
         sub = DiGraph(sub.vertex_count, [(v, u) for u, v in sub.arcs])
     components, condensation = strong_components(sub)
+    entering = adjacency_lists(condensation, reverse=True)
     sources = [
         frozenset(kept[v] for v in comp)
         for k, comp in enumerate(components)
-        if not condensation.in_adj[k]
+        if not entering[k]
     ]
     return sorted(sources, key=min)
 
@@ -352,16 +379,17 @@ def reference_decide_root_adjacent(d: DiGraph, r: int, name=str) -> Decision:
     status, ``reason`` and pair are the ones the array version must give.
     The requirements come from `reference_source_components`."""
     d.check_vertex(r, "root")
-    out_r = set(d.out_adj[r])
-    in_r = set(d.in_adj[r])
+    out_adj, in_adj = adjacency_lists(d), adjacency_lists(d, reverse=True)
+    out_r = set(out_adj[r])
+    in_r = set(in_adj[r])
     for v in range(d.vertex_count):
         if v != r and v not in out_r and v not in in_r:
             raise ValueError(f"vertex {name(v)} is not adjacent to the root")
     both = out_r & in_r
     o_side = out_r - in_r
     i_side = in_r - out_r
-    r_i = i_side - _reference_reach(both, d.out_adj, i_side)
-    r_o = o_side - _reference_reach(both, d.in_adj, o_side)
+    r_i = i_side - _reference_reach(both, out_adj, i_side)
+    r_o = o_side - _reference_reach(both, in_adj, o_side)
     in_reqs = reference_source_components(d, r_i, reverse=False)
     out_reqs = reference_source_components(d, r_o, reverse=True)
     requirements = in_reqs + out_reqs
@@ -369,7 +397,7 @@ def reference_decide_root_adjacent(d: DiGraph, r: int, name=str) -> Decision:
     req_of_tail = {
         v: k for k, comp in enumerate(out_reqs, start=len(in_reqs)) for v in comp
     }
-    o_to_i = [(o, i) for o in sorted(o_side) for i in d.out_adj[o] if i in i_side]
+    o_to_i = [(o, i) for o in sorted(o_side) for i in out_adj[o] if i in i_side]
     parent = list(range(len(requirements)))
 
     def find(x: int) -> int:
@@ -432,10 +460,10 @@ def reference_decide_root_adjacent(d: DiGraph, r: int, name=str) -> Decision:
                     stack.append(y)
     entering = {assigned[k] for k in range(len(in_reqs))}
     out_arcs = [(r, v) for v in out_r]
-    out_arcs += [(u, i) for i in i_side for u in d.in_adj[i] if u in both or u in i_side]
+    out_arcs += [(u, i) for i in i_side for u in in_adj[i] if u in both or u in i_side]
     out_arcs += entering
     in_arcs = [(v, r) for v in in_r]
-    in_arcs += [(o, w) for o in o_side for w in d.out_adj[o] if w not in i_side]
+    in_arcs += [(o, w) for o in o_side for w in out_adj[o] if w not in i_side]
     in_arcs += [arc for arc in o_to_i if arc not in entering]
     out_b = find_out_branching(DiGraph(d.vertex_count, out_arcs), r)
     in_b = find_in_branching(DiGraph(d.vertex_count, in_arcs), r)

@@ -30,6 +30,8 @@ from goodpairs.digraph import (
 )
 
 from bruteforce import (
+    ARRAY_FORMS,
+    adjacency_lists,
     labeled_digraphs,
     mutually_reachable,
     reachable_from,
@@ -69,8 +71,9 @@ class TestDiGraph:
 
     def test_adjacency_sorted(self):
         d = DiGraph(4, [(0, 3), (0, 1), (0, 2), (3, 0)])
-        assert d.out_adj[0] == (1, 2, 3)
-        assert d.in_adj[0] == (3,)
+        (out_ptr, out_nbrs), (in_ptr, in_nbrs) = d.out_csr, d.in_csr
+        assert out_nbrs[out_ptr[0] : out_ptr[1]].tolist() == [1, 2, 3]
+        assert in_nbrs[in_ptr[0] : in_ptr[1]].tolist() == [3]
 
     def test_empty_graph(self):
         d = DiGraph(0)
@@ -152,10 +155,10 @@ class TestStrongComponents:
 
 
 def engine_pointers(d: DiGraph, sources, reverse: bool = False, target: int = -1):
-    """The pointers of both `bfs_pointers` engines, as two lists."""
-    adj, csr = (d.in_adj, d.in_csr) if reverse else (d.out_adj, d.out_csr)
+    """The pointers of both `bfs_pointers` engines over the same CSR, as two lists."""
+    csr = d.in_csr if reverse else d.out_csr
     return (
-        _fifo_pointers(adj, sources, target),
+        _fifo_pointers(csr, sources, target),
         _csr_pointers(csr, sources, target).tolist(),
     )
 
@@ -170,11 +173,11 @@ def seeded_outers():
 class TestBfsPointers:
     def test_csr_holds_the_sorted_lists(self):
         d = DiGraph(4, [(0, 3), (0, 1), (0, 2), (3, 0), (2, 1)])
-        for csr, adj in ((d.out_csr, d.out_adj), (d.in_csr, d.in_adj)):
+        for csr, reverse in ((d.out_csr, False), (d.in_csr, True)):
             indptr, neighbours = csr
             assert neighbours.dtype == indptr.dtype == np.int64
             lists = [neighbours[indptr[v] : indptr[v + 1]].tolist() for v in range(4)]
-            assert lists == [list(a) for a in adj]
+            assert lists == adjacency_lists(d, reverse)
 
     def test_in_csr_holds_the_in_lists(self):
         """On both sides of 2^16 vertices, where `in_csr` stops sorting the
@@ -183,7 +186,7 @@ class TestBfsPointers:
         for d in [*seeded_outers(), *bound]:
             indptr, neighbours = d.in_csr
             lists = np.split(neighbours, indptr[1:-1])
-            assert [a.tolist() for a in lists] == list(map(list, d.in_adj))
+            assert [a.tolist() for a in lists] == adjacency_lists(d, reverse=True)
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_engines_agree_on_every_small_digraph(self, n):
@@ -243,8 +246,7 @@ class TestBfsPointers:
             pointer = bfs_pointers(d, (0,), reverse=True)
             assert list(pointer) == [0, *range(2, size), 0]
             assert isinstance(pointer, list) == small
-            assert ("in_adj" in d.__dict__) == small
-            assert ("in_csr" in d.__dict__) != small
+            assert "in_csr" in d.__dict__ and set(d.__dict__) <= ARRAY_FORMS
 
     def test_large_strong_check_builds_no_tuples(self):
         n = CSR_SEARCH_MIN_VERTICES + 7
@@ -254,7 +256,7 @@ class TestBfsPointers:
         assert is_strong(d) and is_strong(cycle)
         assert not is_strong(path)  # the arc (n - 1, 0) is gone: 0 is a source
         for g in (d, cycle, path):
-            assert "out_adj" not in g.__dict__ and "in_adj" not in g.__dict__
+            assert set(g.__dict__) <= ARRAY_FORMS
 
 
 class TestCycleThrough:
@@ -294,7 +296,7 @@ class TestCycleThrough:
             d = gen_strong_digraph(n + 50 * seed, extra, seed)
             for v in (0, 7 * seed, d.vertex_count - 1):
                 assert cycle_through(d, v) == shortest_cycle_through(d, v)
-            assert "out_adj" not in d.__dict__ and "in_adj" not in d.__dict__
+            assert set(d.__dict__) <= ARRAY_FORMS
 
     @pytest.mark.parametrize("n", [149, 150])
     def test_semicomplete_digraphs_match_reference(self, n, monkeypatch):
@@ -311,7 +313,8 @@ class TestCycleThrough:
                         cycle_through(d, v)
                 else:
                     assert cycle_through(d, v) == expected
-            assert ("out_adj" in d.__dict__) == (n < 150)
+            assert isinstance(bfs_pointers(d, (0,)), list) == (n < 150)
+            assert set(d.__dict__) <= ARRAY_FORMS
 
 
 class TestIsStrong:

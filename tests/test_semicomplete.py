@@ -20,9 +20,14 @@ from goodpairs import (
     shrink_good_pair,
     verify_good_pair,
 )
+from goodpairs import digraph as digraph_module
 from goodpairs.semicomplete import _source_components
 
-from bruteforce import reference_decide_root_adjacent, reference_source_components
+from bruteforce import (
+    ARRAY_FORMS,
+    reference_decide_root_adjacent,
+    reference_source_components,
+)
 from strategies import digraphs, root_adjacent
 
 
@@ -306,10 +311,83 @@ class TestDecideSemicomplete:
             "in-branching must leave {2.1}"
         )
 
+    @pytest.mark.parametrize(
+        "root, reason",
+        [
+            (
+                BlobVertex(1, 1),
+                "deficient requirement component: 4 requirements, 3 serving O->I "
+                "arcs (2.1->3.1, 2.1->3.2, 2.1->3.3); out-branching must enter "
+                "{3.1}, {3.2}, {3.3}; in-branching must leave {2.1}",
+            ),
+            (
+                BlobVertex(2, 1),
+                "deficient requirement component: 4 requirements, 3 serving O->I "
+                "arcs (3.1->1.1, 3.2->1.1, 3.3->1.1); out-branching must enter "
+                "{1.1}; in-branching must leave {3.1}, {3.2}, {3.3}",
+            ),
+        ],
+        ids=["1.1", "2.1"],
+    )
+    def test_absent_reason_names_as_blob_vertex_does(self, c3, root, reason):
+        """The names of an absent answer, built all at once, are the ones
+        `spec.blob_vertex` gives one vertex at a time."""
+        spec = CompositionSpec(c3, [DiGraph(1), DiGraph(1), DiGraph(3)])
+        nr = closed_neighborhood_restriction(materialize(spec), spec.global_id(root))
+        one_by_one = decide_root_adjacent(
+            nr.restricted,
+            nr.root_in_restricted,
+            name=lambda v: str(spec.blob_vertex(int(nr.kept[v]))),
+        )
+        assert decide_semicomplete(spec, root).reason == one_by_one.reason == reason
+
     def test_single_blob_rejected(self):
         spec = CompositionSpec(DiGraph(1), [DiGraph(3, [(0, 1), (1, 0), (1, 2), (2, 1)])])
         with pytest.raises(ValueError, match="at least 2 blobs"):
             decide_semicomplete(spec, BlobVertex(1, 1))
+
+
+class TestNumpyEngine:
+    """Decisions on restrictions of 5,002 vertices, which `bfs_pointers`
+    searches with its numpy engine, give what the FIFO engine gives with
+    the engine constant raised above their order."""
+
+    @pytest.mark.parametrize(
+        "outer, sizes, root, status",
+        [
+            pytest.param("c3", (1, 1, 5000), BlobVertex(1, 1), "absent", id="c3-1.1"),
+            pytest.param("c3", (1, 1, 5000), BlobVertex(2, 1), "absent", id="c3-2.1"),
+            pytest.param("bior_k3", (5000, 1, 1), BlobVertex(2, 1), "found", id="bior_k3-2.1"),
+        ],
+    )
+    def test_matches_the_fifo_engine(self, request, monkeypatch, outer, sizes, root, status):
+        outer = request.getfixturevalue(outer)
+        spec = CompositionSpec(outer, [DiGraph(k) for k in sizes])
+        nr = closed_neighborhood_restriction(materialize(spec), spec.global_id(root))
+        order = nr.restricted.vertex_count
+        assert order == 5002 >= digraph_module.CSR_SEARCH_MIN_VERTICES
+        numpy_calls = []
+        engine = digraph_module._csr_pointers
+
+        def counting_engine(*args):
+            numpy_calls.append(1)
+            return engine(*args)
+
+        monkeypatch.setattr(digraph_module, "_csr_pointers", counting_engine)
+        on_numpy = decide_semicomplete(spec, root)
+        assert numpy_calls
+        numpy_calls.clear()
+        monkeypatch.setattr(digraph_module, "CSR_SEARCH_MIN_VERTICES", order + 1)
+        on_fifo = decide_semicomplete(spec, root)
+        assert not numpy_calls
+        assert on_numpy.status == on_fifo.status == status
+        assert on_numpy.reason == on_fifo.reason
+        if status == "found":
+            for b, c in (
+                (on_numpy.pair.out_branching, on_fifo.pair.out_branching),
+                (on_numpy.pair.in_branching, on_fifo.pair.in_branching),
+            ):
+                assert np.array_equal(b.tails, c.tails) and np.array_equal(b.heads, c.heads)
 
 
 class TestRestrictionEquivalenceSmall:
@@ -407,7 +485,7 @@ class TestAgainstSetReference:
             nr = closed_neighborhood_restriction(q, 0)
             d = nr.restricted
             assert decide_root_adjacent(d, nr.root_in_restricted).status == status
-            assert "out_adj" not in d.__dict__ and "in_adj" not in d.__dict__
+            assert set(d.__dict__) <= ARRAY_FORMS - {"out_csr", "in_csr"}
 
 
 def reversed_digraph(d: DiGraph) -> DiGraph:
