@@ -62,12 +62,12 @@ def skeleton_good_pair(outer: DiGraph, root_blob: int) -> Skeleton:
     The chains occupy complementary layers at every blob, so this is an
     in-branching for every m >= 2, and no arc appears in both trees.
 
-    Forests: two breadth-first searches (`bfs_pointers`, over the outer's
-    CSR when it is large) start at the cycle's blobs in cycle order, one
-    over out-arcs and one over in-arcs.  For a blob b off the cycle, let
-    p(b) be the blob from which the first search reaches b and s(b) the
-    blob from which the second does, so p(b) -> b and b -> s(b) are outer
-    arcs.  The out-tree gains
+    Forests: two breadth-first searches (`bfs_pointers`) start at the
+    cycle's blobs in cycle order, one over the outer's ``out_csr`` and one
+    over its ``in_csr``.  For a blob b off the cycle, let p(b) be the blob
+    from which the first search reaches b and s(b) the blob from which the
+    second does, so p(b) -> b and b -> s(b) are outer arcs.  The out-tree
+    gains
 
         (p(b), k) -> (b, k)                           k in {1, 2}
 
@@ -89,8 +89,8 @@ def skeleton_good_pair(outer: DiGraph, root_blob: int) -> Skeleton:
     if t < 2:
         raise ValueError("outer digraph must have at least 2 vertices")
     cycle = cycle_through(outer, root_blob - 1)[:-1]
-    p = np.asarray(bfs_pointers(outer, cycle), dtype=np.int64)
-    s = np.asarray(bfs_pointers(outer, cycle, reverse=True), dtype=np.int64)
+    p = np.asarray(bfs_pointers(outer.out_csr, cycle), dtype=np.int64)
+    s = np.asarray(bfs_pointers(outer.in_csr, cycle), dtype=np.int64)
     if p.min() < 0 or s.min() < 0:
         raise ValueError("outer digraph is not strong")
 

@@ -233,11 +233,10 @@ def _cut(d: DiGraph, mask: np.ndarray) -> DiGraph:
 CSR_SEARCH_MIN_VERTICES = 4096
 
 
-def bfs_pointers(
-    d: DiGraph, sources: Iterable[int], reverse: bool = False, target: int = -1
-) -> Sequence[int]:
-    """Breadth-first search of ``d`` from ``sources``, taken in order, along
-    out-arcs, or along in-arcs with ``reverse``.
+def bfs_pointers(csr: CSR, sources: Iterable[int], target: int = -1) -> Sequence[int]:
+    """Breadth-first search of the neighbour lists ``csr`` from ``sources``,
+    taken in order: pass a digraph's ``out_csr`` to follow its arcs, its
+    ``in_csr`` to follow them backwards.
 
     Returns one pointer per vertex: a source points at itself, any other
     reached vertex at the vertex it was first reached from, and a vertex
@@ -245,19 +244,13 @@ def bfs_pointers(
     search stops as soon as every vertex is reached, or ``target`` (when not
     -1) is.
 
-    Two engines read ``out_csr`` (``in_csr`` with ``reverse``) and give the
-    same pointers; `_search` picks one by vertex count.  Below
-    `CSR_SEARCH_MIN_VERTICES`, `_fifo_pointers` pops one vertex at a time
-    and returns a list: a small search costs a few microseconds, less than
-    numpy's fixed cost per call, and on a dense digraph it stops after a few
-    lists.  From there up, `_csr_pointers` serves the queue in whole-array
-    steps and returns an int64 array.
+    Two engines read the lists and give the same pointers; the vertex count
+    picks one.  Below `CSR_SEARCH_MIN_VERTICES`, `_fifo_pointers` pops one
+    vertex at a time and returns a list: a small search costs a few
+    microseconds, less than numpy's fixed cost per call, and on a dense
+    digraph it stops after a few lists.  From there up, `_csr_pointers`
+    serves the queue in whole-array steps and returns an int64 array.
     """
-    return _search(d.in_csr if reverse else d.out_csr, sources, target)
-
-
-def _search(csr: CSR, sources: Iterable[int], target: int = -1) -> Sequence[int]:
-    """`bfs_pointers` over the lists ``csr``."""
     if len(csr[0]) - 1 < CSR_SEARCH_MIN_VERTICES:
         return _fifo_pointers(csr, sources, target)
     return _csr_pointers(csr, sources, target)
@@ -358,14 +351,14 @@ def cycle_through(d: DiGraph, v: int) -> tuple[int, ...]:
     d.check_vertex(v)
     if d.vertex_count < 2:
         raise ValueError("need at least two vertices to have a cycle")
-    indptr, neighbours = d.out_csr
-    pointer = bfs_pointers(d, neighbours[indptr[v] : indptr[v + 1]].tolist(), target=v)
+    indptr, neighbours = csr = d.out_csr
+    pointer = bfs_pointers(csr, neighbours[indptr[v] : indptr[v + 1]].tolist(), target=v)
     if pointer[v] == -1:
         raise ValueError(f"no cycle through vertex {v}: digraph is not strong")
     w = int(pointer[v])
     while pointer[w] != w:
         w = int(pointer[w])
-    pointer = bfs_pointers(d, (w,), target=v)
+    pointer = bfs_pointers(csr, (w,), target=v)
     path = [v]  # v back to w along the pointers, then reversed
     while path[-1] != w:
         path.append(int(pointer[path[-1]]))
@@ -464,9 +457,9 @@ def is_strong(d: DiGraph) -> bool:
     """
     if d.vertex_count <= 1:
         return True
-    if -1 in bfs_pointers(d, (0,)):
+    if -1 in bfs_pointers(d.out_csr, (0,)):
         return False
-    return -1 not in bfs_pointers(d, (0,), reverse=True)
+    return -1 not in bfs_pointers(d.in_csr, (0,))
 
 
 @dataclass(frozen=True, eq=False)
@@ -552,21 +545,22 @@ def find_out_branching(d: DiGraph, r: int) -> Branching | None:
     reached it.
     """
     d.check_vertex(r, "root")
-    return _bfs_tree(d, r, "out")
+    return _bfs_tree(d.out_csr, r, "out")
 
 
 def find_in_branching(d: DiGraph, r: int) -> Branching | None:
     """Spanning in-branching rooted at ``r``; mirror of `find_out_branching`
     run over reversed arcs."""
     d.check_vertex(r, "root")
-    return _bfs_tree(d, r, "in")
+    return _bfs_tree(d.in_csr, r, "in")
 
 
-def _bfs_tree(d: DiGraph, r: int, kind: BranchingKind) -> Branching | None:
-    """Breadth-first tree from ``r`` along the arcs of ``kind``, or None if
+def _bfs_tree(csr: CSR, r: int, kind: BranchingKind) -> Branching | None:
+    """Breadth-first tree of ``kind`` from ``r`` over the neighbour lists
+    ``csr`` (out-lists for an out-tree, in-lists for an in-tree), or None if
     it does not span; each vertex points at the vertex it was first reached
     from."""
-    pointer = bfs_pointers(d, (r,), reverse=kind == "in")
+    pointer = bfs_pointers(csr, (r,))
     if -1 in pointer:
         return None
     pointer = np.array(pointer, dtype=np.int64)

@@ -15,9 +15,10 @@ from .digraph import (
     Branching,
     DiGraph,
     GoodPair,
+    _bfs_tree,
+    _csr,
     _members,
     bfs_pointers,
-    find_in_branching,
     require_good_pair,
 )
 
@@ -58,7 +59,7 @@ def enumerate_out_branchings(
     if limit == 0:
         return
     n = d.vertex_count
-    if -1 in bfs_pointers(d, (r,)):
+    if -1 in bfs_pointers(d.out_csr, (r,)):
         return  # some vertex unreachable: no spanning out-branching exists
     vertices = [v for v in range(n) if v != r]
     start, neighbours = (a.tolist() for a in d.in_csr)
@@ -120,10 +121,10 @@ def decide_good_pair_exact(
         )
     n = d.vertex_count
     for out_b in enumerate_out_branchings(d, r):
-        # The arcs of d outside out_b, cut from d's sorted arrays.
+        # The in-lists of the arcs of d outside out_b, cut from d's arrays.
         outside = ~_members(out_b.tails * n + out_b.heads, d._arc_keys)
-        rest = DiGraph.from_sorted_arrays(n, d.tails[outside], d.heads[outside])
-        in_b = find_in_branching(rest, r)
+        rest = _csr(n, d.tails[outside], d.heads[outside], reverse=True)
+        in_b = _bfs_tree(rest, r, "in")
         if in_b is not None:
             pair = require_good_pair(d, GoodPair(r, out_b, in_b), "oracle pair")
             return Decision("found", pair=pair)

@@ -7,10 +7,9 @@ held with ascending int64 arrays of the kept and the removed ids.  The
 reduction is constructive both ways: `lift_good_pair` grows a pair of the
 restriction into one of the full graph, `shrink_good_pair` prunes a pair of
 the full graph down to the restriction.  On the restriction every vertex is
-adjacent to r, and
-`decide_root_adjacent` settles it in linear time by Hall's condition on a
-small requirement graph, read off the restriction's sorted arc arrays
-through vertex and arc masks.
+adjacent to r, and `decide_root_adjacent` settles it in linear time by
+Hall's condition on a small requirement graph, searching neighbour lists
+cut from the restriction's sorted arc arrays by vertex and arc masks.
 """
 
 from __future__ import annotations
@@ -34,13 +33,12 @@ from .digraph import (
     Branching,
     DiGraph,
     GoodPair,
+    _bfs_tree,
     _component_labels,
     _csr,
     _cut,
-    _search,
     _tarjan,
-    find_in_branching,
-    find_out_branching,
+    bfs_pointers,
     is_strong,
     require_good_pair,
     verify_good_pair,
@@ -224,8 +222,9 @@ def decide_root_adjacent(
     loops) has at least as many arcs as requirements.
 
     The sides are vertex masks and each group of arcs a mask over ``d``'s
-    sorted arc arrays; the searches and Tarjan passes read the CSR of the
-    arcs a mask keeps, and ``d``'s own CSR is never built.
+    sorted arc arrays.  One CSR of a side's arcs serves its search and its
+    Tarjan pass, each tree is searched on the CSR of its host's arcs, and
+    no digraph is built, nor ``d``'s own CSR.
 
     On "absent" the reason names a deficient component, writing vertices
     with ``name``.  A "found" pair is not verified here: `decide_semicomplete`
@@ -242,16 +241,15 @@ def decide_root_adjacent(
         raise ValueError(f"vertex {name(int(alone.argmax()))} is not adjacent to the root")
     both, o_side, i_side = fed & feeding, fed & ~feeding, feeding & ~fed
 
-    # I-vertices B cannot reach through B->I and I->I arcs, and O-vertices
-    # that cannot reach B through O->O and O->B arcs (searched backwards).
+    # Initial components of the I-vertices B cannot reach through B->I and
+    # I->I arcs, terminal ones of the O-vertices that cannot reach B through
+    # O->O and O->B arcs; the masks hold every arc among either group.
     sources = np.flatnonzero(both).tolist()
     o_tail, i_head = o_side[tails], i_side[heads]
     # B | I is N-(r), the vertices feeding r, and B | O is N+(r), those r feeds.
     into_i, out_of_o = i_head & feeding[tails], o_tail & fed[heads]
-    r_i = _unreached(d, i_side, into_i, sources, reverse=False)
-    r_o = _unreached(d, o_side, out_of_o, sources, reverse=True)
-    in_reqs = _source_components(d, r_i, reverse=False)
-    requirements = in_reqs + _source_components(d, r_o, reverse=True)
+    in_reqs = _requirements(d, i_side, into_i, sources, reverse=False)
+    requirements = in_reqs + _requirements(d, o_side, out_of_o, sources, reverse=True)
     # O and I are disjoint, so one lookup holds both kinds; -1 for none.
     req = _component_labels(n, requirements)
 
@@ -308,42 +306,39 @@ def decide_root_adjacent(
     entering[[assigned[k] for k in range(len(in_reqs))]] = True
     out_host = from_root | into_i | entering
     in_host = to_root | (o_tail & ~entering)  # entering arcs are O->I arcs
-    hosts = [DiGraph.from_sorted_arrays(n, tails[m], heads[m]) for m in (out_host, in_host)]
-    out_b, in_b = find_out_branching(hosts[0], r), find_in_branching(hosts[1], r)
+    out_b = _bfs_tree(_csr(n, tails[out_host], heads[out_host]), r, "out")
+    in_b = _bfs_tree(_csr(n, tails[in_host], heads[in_host], reverse=True), r, "in")
     if out_b is None or in_b is None:
         raise RuntimeError("requirement assignment left a vertex unspanned")
     return Decision("found", pair=GoodPair(r, out_b, in_b))
 
 
-def _unreached(
+def _requirements(
     d: DiGraph, side: np.ndarray, arcs: np.ndarray, sources: list[int], reverse: bool
-) -> np.ndarray:
-    """Mask of the vertices of the mask ``side`` that a breadth-first search
-    from ``sources`` along the arcs of ``d`` under the mask ``arcs``,
-    followed backwards with ``reverse``, does not reach."""
+) -> list[list[int]]:
+    """Initial strong components (terminal ones with ``reverse``), each
+    ascending, by min, in the digraph of the arcs of ``d`` under the mask
+    ``arcs``, of the vertices of the mask ``side`` that a search from
+    ``sources`` along those arcs (backwards with ``reverse``) misses.  One
+    CSR serves the search and the Tarjan pass over the missed vertices,
+    which never enters another vertex; a component is entered (left) by an
+    arc with both ends missed that joins it from (to) another one."""
     if not side.any():
-        return side
-    csr = _csr(d.vertex_count, d.tails[arcs], d.heads[arcs], reverse)
-    return side & (np.asarray(_search(csr, sources)) < 0)
-
-
-def _source_components(d: DiGraph, vertices: np.ndarray, reverse: bool) -> list[list[int]]:
-    """Initial strong components of d[vertices], ``vertices`` a mask, or
-    terminal ones with ``reverse``: those no arc of d[vertices] enters
-    (leaves), each listed ascending, by min."""
-    if not vertices.any():
         return []
-    inside = vertices[d.tails] & vertices[d.heads]
-    tails, heads = d.tails[inside], d.heads[inside]
+    tails, heads = d.tails[arcs], d.heads[arcs]
     csr = _csr(d.vertex_count, tails, heads, reverse)
-    components = _tarjan(csr, np.flatnonzero(vertices).tolist())
+    unreached = np.flatnonzero(side & (np.asarray(bfs_pointers(csr, sources)) < 0))
+    if not len(unreached):
+        return []
+    components = _tarjan(csr, unreached.tolist())
     label = _component_labels(d.vertex_count, components)
     tail_comp, head_comp = label[tails], label[heads]
     if reverse:
         tail_comp, head_comp = head_comp, tail_comp
-    entered = np.bincount(head_comp[tail_comp != head_comp], minlength=len(components))
-    sources = [sorted(c) for c, e in zip(components, entered.tolist()) if not e]
-    return sorted(sources, key=min)
+    joined = (tail_comp >= 0) & (head_comp >= 0) & (tail_comp != head_comp)
+    entered = np.bincount(head_comp[joined], minlength=len(components))
+    initial = [sorted(c) for c, e in zip(components, entered.tolist()) if not e]
+    return sorted(initial, key=min)
 
 
 def _deficiency(

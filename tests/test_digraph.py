@@ -243,7 +243,7 @@ class TestBfsPointers:
         n = CSR_SEARCH_MIN_VERTICES
         for size, small in ((n - 1, True), (n, False)):
             d = gen_strong_digraph(size, 0, 1)  # the cycle 0 -> 1 -> ... -> 0
-            pointer = bfs_pointers(d, (0,), reverse=True)
+            pointer = bfs_pointers(d.in_csr, (0,))
             assert list(pointer) == [0, *range(2, size), 0]
             assert isinstance(pointer, list) == small
             assert "in_csr" in d.__dict__ and set(d.__dict__) <= ARRAY_FORMS
@@ -313,7 +313,7 @@ class TestCycleThrough:
                         cycle_through(d, v)
                 else:
                     assert cycle_through(d, v) == expected
-            assert isinstance(bfs_pointers(d, (0,)), list) == (n < 150)
+            assert isinstance(bfs_pointers(d.out_csr, (0,)), list) == (n < 150)
             assert set(d.__dict__) <= ARRAY_FORMS
 
 

@@ -121,7 +121,7 @@ class TestDecide:
         """An in-tree that is no in-branching (it is the out-tree's own arc)
         raises rather than coming back as found."""
         monkeypatch.setattr(
-            oracle_module, "find_in_branching", lambda d, r: Branching(r, "in", [(0, 1)])
+            oracle_module, "_bfs_tree", lambda csr, r, kind: Branching(r, "in", [(0, 1)])
         )
         with pytest.raises(ValueError, match="oracle pair does not verify"):
             decide_good_pair_exact(DiGraph(2, [(0, 1), (1, 0)]), 0)

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from goodpairs import (
     BlobVertex,
+    Branching,
     CompositionSpec,
     DiGraph,
+    GoodPair,
     closed_neighborhood_restriction,
     construct_good_pair,
     decide_good_pair_exact,
@@ -21,10 +23,12 @@ from goodpairs import (
     verify_good_pair,
 )
 from goodpairs import digraph as digraph_module
-from goodpairs.semicomplete import _source_components
+from goodpairs.semicomplete import _requirements
 
 from bruteforce import (
     ARRAY_FORMS,
+    _reference_reach,
+    adjacency_lists,
     reference_decide_root_adjacent,
     reference_source_components,
 )
@@ -435,7 +439,31 @@ class TestSourceComponents:
         expected = reference_source_components(d, vertices, reverse)
         mask = np.zeros(d.vertex_count, dtype=bool)
         mask[list(vertices)] = True
-        assert _source_components(d, mask, reverse) == [sorted(c) for c in expected]
+        every_arc = np.ones(d.arc_count, dtype=bool)
+        got = _requirements(d, mask, every_arc, [], reverse)
+        assert got == [sorted(c) for c in expected]
+
+    @given(digraphs(min_n=1, max_n=7), st.data(), st.booleans())
+    def test_matches_the_reference_with_sources_and_an_arc_mask(self, d, data, reverse):
+        """The vertices of the side that the search from the sources along
+        the masked arcs misses, and their source components in the digraph
+        of the masked arcs."""
+        n = d.vertex_count
+        side = data.draw(st.sets(st.integers(0, n - 1)), label="side")
+        sources = data.draw(
+            st.lists(st.integers(0, n - 1), min_size=1, unique=True), label="sources"
+        )
+        m = d.arc_count
+        arcs = data.draw(st.lists(st.booleans(), min_size=m, max_size=m), label="arcs")
+        masked = DiGraph(n, [a for a, keep in zip(d.arcs_in_order(), arcs) if keep])
+        adj = adjacency_lists(masked, reverse)
+        reached = _reference_reach(set(sources), adj, set(range(n)))
+        unreached = side - reached - set(sources)
+        expected = reference_source_components(masked, unreached, reverse)
+        mask = np.zeros(n, dtype=bool)
+        mask[list(side)] = True
+        got = _requirements(d, mask, np.array(arcs, dtype=bool), sources, reverse)
+        assert got == [sorted(c) for c in expected]
 
 
 def assert_matches_reference(d, r, name=str):
@@ -506,16 +534,60 @@ def seeded_roots(draw):
     return spec, spec.blob_vertex(draw(st.integers(0, spec.total_vertices - 1)))
 
 
+@st.composite
+def constructible_roots(draw):
+    """A seeded spec of 2 to 12 blobs of 2 to 4 vertices over a strong or a
+    semicomplete outer, which the constructor takes, and a root in it."""
+    t, hi = draw(st.integers(2, 12)), draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(["strong", "semicomplete"]))
+    p, seed = draw(st.sampled_from([0.0, 0.3, 0.6])), draw(st.integers(0, 10**6))
+    spec = gen_composition(t, (2, hi), p, kind, seed)
+    return spec, spec.blob_vertex(draw(st.integers(0, spec.total_vertices - 1)))
+
+
+def image_tree(b: Branching, r: int, kind: str, arc) -> Branching:
+    """The branching of ``kind`` at ``r`` whose arcs are the images
+    ``arc(u, v)`` of the arcs of ``b``."""
+    return Branching(r, kind, [arc(u, v) for u, v in b.arcs_in_order()])
+
+
+def reversed_spec(spec: CompositionSpec) -> CompositionSpec:
+    return CompositionSpec(
+        reversed_digraph(spec.outer), [reversed_digraph(h) for h in spec.blobs]
+    )
+
+
+def relabelled_spec(spec: CompositionSpec, root: BlobVertex, data):
+    """The spec with its blobs and each blob's vertices permuted as drawn
+    from ``data``, the image of ``root``, and the image of every global id."""
+    t = spec.blob_count
+    outer_perm = data.draw(st.permutations(range(t)), label="outer")
+    inner_perms = [
+        data.draw(st.permutations(range(spec.blob_size(i + 1))), label=f"blob {i + 1}")
+        for i in range(t)
+    ]
+    blobs = [None] * t
+    for i, h in enumerate(spec.blobs):
+        blobs[outer_perm[i]] = permuted_digraph(h, inner_perms[i])
+    image = CompositionSpec(permuted_digraph(spec.outer, outer_perm), blobs)
+
+    def moved(v: BlobVertex) -> BlobVertex:
+        i, j = v.blob - 1, v.layer - 1
+        return BlobVertex(outer_perm[i] + 1, inner_perms[i][j] + 1)
+
+    ids = [image.global_id(moved(spec.blob_vertex(g))) for g in range(spec.total_vertices)]
+    return image, moved(root), ids
+
+
 class TestRelations:
-    """Reversal and relabelling keep the status, at sizes past the oracle."""
+    """Reversal and relabelling keep the status and map a constructed pair
+    to a good pair, at sizes past the oracle."""
 
     @settings(max_examples=40)
     @given(seeded_roots())
     def test_reversal_keeps_the_status(self, spec_root):
         spec, root = spec_root
-        rev = CompositionSpec(
-            reversed_digraph(spec.outer), [reversed_digraph(h) for h in spec.blobs]
-        )
+        rev = reversed_spec(spec)
         assert decide_semicomplete(rev, root).status == decide_semicomplete(spec, root).status
         # On the restriction, reversal swaps O and I.
         nr = closed_neighborhood_restriction(materialize(spec), spec.global_id(root))
@@ -528,19 +600,41 @@ class TestRelations:
     @given(seeded_roots(), st.data())
     def test_relabelling_keeps_the_status(self, spec_root, data):
         spec, root = spec_root
-        t = spec.blob_count
-        outer_perm = data.draw(st.permutations(range(t)), label="outer")
-        inner_perms = [
-            data.draw(st.permutations(range(spec.blob_size(i + 1))), label=f"blob {i + 1}")
-            for i in range(t)
-        ]
-        blobs = [None] * t
-        for i, h in enumerate(spec.blobs):
-            blobs[outer_perm[i]] = permuted_digraph(h, inner_perms[i])
-        image = CompositionSpec(permuted_digraph(spec.outer, outer_perm), blobs)
-        i, j = root.blob - 1, root.layer - 1
-        moved = BlobVertex(outer_perm[i] + 1, inner_perms[i][j] + 1)
+        image, moved, _ = relabelled_spec(spec, root, data)
         assert decide_semicomplete(image, moved).status == decide_semicomplete(spec, root).status
+
+    @settings(max_examples=40)
+    @given(constructible_roots())
+    def test_reversal_keeps_a_constructed_pair(self, spec_root):
+        """The constructor's pair on the reversed spec verifies there, and
+        so does its pair on the spec with both trees reversed and swapped."""
+        spec, root = spec_root
+        rev, r = reversed_spec(spec), spec.global_id(root)
+        assert verify_good_pair(rev.implicit_view(), construct_good_pair(rev, root)).ok
+        pair = construct_good_pair(spec, root)
+        image = GoodPair(
+            r,
+            image_tree(pair.in_branching, r, "out", lambda u, v: (v, u)),
+            image_tree(pair.out_branching, r, "in", lambda u, v: (v, u)),
+        )
+        assert verify_good_pair(rev.implicit_view(), image).ok
+
+    @settings(max_examples=40)
+    @given(constructible_roots(), st.data())
+    def test_relabelling_keeps_a_constructed_pair(self, spec_root, data):
+        """The constructor's pair on the relabelled spec verifies there, and
+        so does the image of its pair on the spec."""
+        spec, root = spec_root
+        image, moved, ids = relabelled_spec(spec, root, data)
+        view, r = image.implicit_view(), image.global_id(moved)
+        assert verify_good_pair(view, construct_good_pair(image, moved)).ok
+        pair = construct_good_pair(spec, root)
+        mapped = GoodPair(
+            r,
+            image_tree(pair.out_branching, r, "out", lambda u, v: (ids[u], ids[v])),
+            image_tree(pair.in_branching, r, "in", lambda u, v: (ids[u], ids[v])),
+        )
+        assert verify_good_pair(view, mapped).ok
 
     @pytest.mark.parametrize("m", [1, 2, 10, 500])
     def test_three_cycle_with_arcless_blobs(self, c3, m):
