@@ -23,11 +23,7 @@ from .digraph import (
     DiGraph,
     GoodPair,
     cycle_through,
-    find_in_branching,
-    find_out_branching,
-    induced_subgraph,
     is_strong,
-    strong_components,
     verify_branching,
     verify_good_pair,
 )
@@ -56,19 +52,15 @@ __all__ = [
     "decide_semicomplete",
     "enumerate_out_branchings",
     "extend_layers",
-    "find_in_branching",
-    "find_out_branching",
     "gen_composition",
     "gen_semicomplete",
     "gen_strong_digraph",
-    "induced_subgraph",
     "is_semicomplete",
     "is_strong",
     "lift_good_pair",
     "materialize",
     "shrink_good_pair",
     "skeleton_good_pair",
-    "strong_components",
     "validate_for_construction",
     "verify_branching",
     "verify_good_pair",

@@ -134,13 +134,6 @@ class CompositionSpec:
         blob = int(np.searchsorted(self.offsets, global_id, side="right"))
         return BlobVertex(blob, global_id - int(self.offsets[blob - 1]) + 1)
 
-    def has_arc(self, a: BlobVertex, b: BlobVertex) -> bool:
-        """Implicit arc query; never materializes the composition."""
-        u, v = self.global_id(a), self.global_id(b)
-        if a.blob != b.blob:
-            return self.outer.has_arc(a.blob - 1, b.blob - 1)
-        return self.inner.has_arc(u, v)
-
     @cached_property
     def blob_of(self) -> np.ndarray:
         """blob_of[v] is the outer vertex (0-based) whose blob holds global id v."""

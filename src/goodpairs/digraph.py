@@ -204,28 +204,6 @@ class DiGraph:
             )
 
 
-def induced_subgraph(d: DiGraph, kept: Iterable[int]) -> DiGraph:
-    """Subgraph induced by ``kept``, re-indexed by position in sorted order;
-    an id out of range raises, naming the smallest, and repeats collapse."""
-    ids = _exact_ids(list(kept))
-    bad = (ids < 0) | (ids >= d.vertex_count)
-    if bad.any():
-        d.check_vertex(int(ids[bad].min()))
-    mask = np.zeros(d.vertex_count, dtype=bool)
-    mask[ids] = True
-    return _cut(d, mask)
-
-
-def _cut(d: DiGraph, mask: np.ndarray) -> DiGraph:
-    """Subgraph induced by the vertices that ``mask``, one bool per vertex
-    of ``d``, marks, re-indexed in vertex order.  The re-indexing is
-    monotone, so the arcs cut from ``d``'s arrays stay sorted."""
-    new_id = np.cumsum(mask) - 1
-    inside = mask[d.tails] & mask[d.heads]
-    tails, heads = new_id[d.tails[inside]], new_id[d.heads[inside]]
-    return DiGraph.from_sorted_arrays(int(np.count_nonzero(mask)), tails, heads)
-
-
 # Vertex count from which `bfs_pointers` runs its numpy engine; below it,
 # the FIFO loop.  Both read the same CSR, so this picks an algorithm, not a
 # form.  Chosen from the measured crossover of the two engines on sparse and
@@ -363,24 +341,6 @@ def cycle_through(d: DiGraph, v: int) -> tuple[int, ...]:
     while path[-1] != w:
         path.append(int(pointer[path[-1]]))
     return (v, *reversed(path))
-
-
-def strong_components(d: DiGraph) -> tuple[list[frozenset[int]], DiGraph]:
-    """Partition into strong components plus the condensation digraph.
-
-    Components are returned in a topological order of the condensation
-    (arcs of the condensation go from lower to higher component index).
-    The condensation's arcs are the distinct label pairs of the arcs that
-    cross components, found by one `np.unique` of their keys.
-    """
-    components = _tarjan(d.out_csr, range(d.vertex_count))[::-1]
-    c = len(components)
-    label = _component_labels(d.vertex_count, components)
-    tails, heads = label[d.tails], label[d.heads]
-    cross = tails != heads
-    keys = np.unique(tails[cross] * c + heads[cross])
-    condensation = DiGraph.from_sorted_arrays(c, keys // c, keys % c)
-    return [frozenset(comp) for comp in components], condensation
 
 
 def _component_labels(n: int, components: Sequence[Sequence[int]]) -> np.ndarray:
@@ -534,25 +494,6 @@ class GoodPair:
     root: int
     out_branching: Branching
     in_branching: Branching
-
-
-def find_out_branching(d: DiGraph, r: int) -> Branching | None:
-    """Spanning out-branching rooted at ``r``, or None if some vertex is
-    unreachable from ``r``.
-
-    Deterministic: vertices are discovered breadth-first with neighbours
-    taken in ascending id order, and each vertex keeps the first arc that
-    reached it.
-    """
-    d.check_vertex(r, "root")
-    return _bfs_tree(d.out_csr, r, "out")
-
-
-def find_in_branching(d: DiGraph, r: int) -> Branching | None:
-    """Spanning in-branching rooted at ``r``; mirror of `find_out_branching`
-    run over reversed arcs."""
-    d.check_vertex(r, "root")
-    return _bfs_tree(d.in_csr, r, "in")
 
 
 def _bfs_tree(csr: CSR, r: int, kind: BranchingKind) -> Branching | None:

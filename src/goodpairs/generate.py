@@ -8,10 +8,11 @@ but guarantees strongness without rejection.
 Each instance is defined by scalar draws: ``rng.integers(t)`` for each end
 of a chord, ``rng.random()`` and, unless the pair is bidirectional,
 ``rng.integers(2)`` for each semicomplete pair, and ``rng.random()`` for
-each ordered pair of a blob.  The generators read PCG64's raw 64-bit words
-in bulk, decode them as numpy decodes those calls, and leave the bit
-generator where the calls leave it.  ``tests/bruteforce.py`` keeps the
-scalar loops as the references.
+each ordered pair of a blob.  The generators draw in bulk and leave the
+bit generator where the calls leave it: chords and blob arcs by numpy's own
+bulk calls, which return what as many scalar calls would, and semicomplete
+pairs by decoding PCG64's raw 64-bit words as numpy decodes those calls.
+``tests/bruteforce.py`` keeps the scalar loops as the references.
 """
 
 from __future__ import annotations
@@ -62,16 +63,6 @@ def _halves(raw: np.ndarray, waiting: int | None) -> np.ndarray:
     return np.concatenate((np.array([waiting], np.uint64), halves))
 
 
-def _bounded(halves: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """What successive ``integers(k)`` calls, k <= 2**32, return from the
-    ``halves``, and the index of the half each of them took.  Lemire's
-    method: a half x gives ``(x * k) >> 32``, unless
-    ``(x * k) mod 2**32 < (2**32 - k) mod k`` rejects it."""
-    scaled = halves * np.uint64(k)
-    taken = np.flatnonzero((scaled & _LOW_HALF) >= np.uint64((2**32 - k) % k))
-    return (scaled[taken] >> np.uint64(32)).astype(np.int64), taken
-
-
 def gen_strong_digraph(t: int, extra_arcs: int, seed: int) -> DiGraph:
     """Hamiltonian cycle on t vertices plus ``extra_arcs`` random chords."""
     rng = _rng(seed)
@@ -96,27 +87,25 @@ def _strong_arcs(rng: np.random.Generator, t: int, extra_arcs: int) -> np.ndarra
         return cycle
     bg = rng.bit_generator
     state = bg.state
-    waiting = _waiting_half(state)
-    # Pairs expected until extra_arcs distinct chords are found (one word
-    # gives about one pair), with room for the spread.
+    # Pairs expected until extra_arcs distinct chords are found, with room
+    # for the spread.  A bulk ``integers(t, size=n)`` returns what n scalar
+    # calls would, and leaves the state where they leave it.
     valid_pairs = capacity * math.log((capacity + 0.5) / (capacity - extra_arcs + 0.5))
-    words = int(valid_pairs * t / (t - 2) * 1.02 + 4 * math.sqrt(valid_pairs)) + 16
+    pairs = int(valid_pairs * t / (t - 2) * 1.02 + 4 * math.sqrt(valid_pairs)) + 16
     while True:
         bg.state = state
-        halves = _halves(bg.random_raw(words), waiting)
-        ends, taken = _bounded(halves, t)
-        u, v = ends[0 : len(ends) - 1 : 2], ends[1::2]
+        ends = rng.integers(t, size=2 * pairs)
+        u, v = ends[0::2], ends[1::2]
         valid = np.flatnonzero((u != v) & (v != (u + 1) % t))
         chords = u[valid] * t + v[valid]
         _, first = np.unique(chords, return_index=True)
         if len(first) >= extra_arcs:
             break
-        words *= 2
+        pairs *= 2
     kept = np.sort(first)[:extra_arcs]
-    # The half that ended the last chord, and the fresh halves read up to it.
-    last = taken[2 * valid[kept[-1]] + 1]
-    fresh = int(last) + 1 - (waiting is not None)
-    _hand_off(bg, state, (fresh + 1) // 2, int(halves[last + 1]) if fresh % 2 else None)
+    # Draw again, up to the pair that ended the last chord, to hand off the state.
+    bg.state = state
+    rng.integers(t, size=2 * (int(valid[kept[-1]]) + 1))
     return np.sort(np.concatenate((cycle, chords[kept])))
 
 

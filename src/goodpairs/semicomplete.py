@@ -36,7 +36,6 @@ from .digraph import (
     _bfs_tree,
     _component_labels,
     _csr,
-    _cut,
     _tarjan,
     bfs_pointers,
     is_strong,
@@ -66,7 +65,9 @@ class NeighborhoodRestriction:
 
 def closed_neighborhood_restriction(q: DiGraph, r: int) -> NeighborhoodRestriction:
     """Restrict ``q`` to the root plus everything adjacent to it: one vertex
-    mask marked from ``q``'s arc arrays cuts the digraph and splits the ids."""
+    mask marked from ``q``'s arc arrays splits the ids and keeps the arcs
+    with both ends inside.  The kept ids are renumbered in ascending order,
+    so the arcs cut from ``q``'s sorted arrays stay sorted."""
     q.check_vertex(r, "root")
     mask = np.zeros(q.vertex_count, dtype=bool)
     mask[q.heads[q.tails == r]] = True
@@ -74,8 +75,11 @@ def closed_neighborhood_restriction(q: DiGraph, r: int) -> NeighborhoodRestricti
     mask[r] = True
     kept, removed = np.flatnonzero(mask), np.flatnonzero(~mask)
     kept.flags.writeable = removed.flags.writeable = False
-    root_in_restricted = int(np.count_nonzero(mask[:r]))
-    return NeighborhoodRestriction(_cut(q, mask), kept, removed, root_in_restricted)
+    new_id = np.cumsum(mask) - 1
+    inside = mask[q.tails] & mask[q.heads]
+    tails, heads = new_id[q.tails[inside]], new_id[q.heads[inside]]
+    restricted = DiGraph.from_sorted_arrays(len(kept), tails, heads)
+    return NeighborhoodRestriction(restricted, kept, removed, int(new_id[r]))
 
 
 def lift_good_pair(

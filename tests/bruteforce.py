@@ -4,10 +4,11 @@ Everything here is deliberately naive and self-contained: reachability by
 hand-rolled BFS over arc sets, branching candidates by iterating raw arc
 subsets, and per-item loops as the references for the branching verifier,
 the parsers' arc-list checks, the writers, `materialize`, the
-semicomplete test, the decision's source components, the root-adjacent
-decision over vertex sets and the seeded generators' draws.
+semicomplete test, strong components (classes of mutual reachability),
+breadth-first trees (a deque over sorted neighbour lists), the
+root-adjacent decision over vertex sets and the seeded generators' draws.
 Keep it that way; these functions must not share search logic with the
-code they check.
+code they check, so they import only data types from goodpairs.
 """
 
 from __future__ import annotations
@@ -17,16 +18,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from goodpairs import (
-    CompositionSpec,
-    Decision,
-    DiGraph,
-    GoodPair,
-    find_in_branching,
-    find_out_branching,
-    induced_subgraph,
-    strong_components,
-)
+from goodpairs import Branching, CompositionSpec, Decision, DiGraph, GoodPair
 
 
 def reachable_from(arcs, n: int, start: int) -> set[int]:
@@ -338,24 +330,46 @@ def shortest_cycle_through(d: DiGraph, v: int) -> tuple[int, ...] | None:
     return best
 
 
+def reference_components(d: DiGraph, vertices: set[int]) -> dict[frozenset[int], set[int]]:
+    """The strong components of d[vertices], each with the set its vertices
+    reach there: the classes of mutual reachability, by `reachable_from`
+    over the arcs with both ends in ``vertices``."""
+    arcs = [(u, v) for u, v in d.arcs if u in vertices and v in vertices]
+    reach = {x: reachable_from(arcs, d.vertex_count, x) for x in vertices}
+    return {frozenset(y for y in reach[x] if x in reach[y]): reach[x] for x in vertices}
+
+
 def reference_source_components(
     d: DiGraph, vertices: set[int], reverse: bool
 ) -> list[frozenset[int]]:
-    """The initial strong components of d[vertices], or terminal ones with
-    ``reverse``, by min, read off the condensation of the induced subgraph
-    (or of its reverse)."""
-    kept = sorted(vertices)
-    sub = induced_subgraph(d, kept)
+    """The initial strong components of d[vertices], by min: those no other
+    component reaches; or with ``reverse`` the terminal ones, those that
+    reach no other."""
+    comps = reference_components(d, vertices)
     if reverse:
-        sub = DiGraph(sub.vertex_count, [(v, u) for u, v in sub.arcs])
-    components, condensation = strong_components(sub)
-    entering = adjacency_lists(condensation, reverse=True)
-    sources = [
-        frozenset(kept[v] for v in comp)
-        for k, comp in enumerate(components)
-        if not entering[k]
-    ]
+        sources = [c for c, reached in comps.items() if reached == c]
+    else:
+        sources = [c for c in comps if not any(c & r for k, r in comps.items() if k != c)]
     return sorted(sources, key=min)
+
+
+def reference_bfs_tree(n: int, arcs, r: int, kind: str) -> Branching | None:
+    """The breadth-first branching of ``kind`` at r over ``arcs`` on n
+    vertices, or None when it does not span: a deque BFS over the sorted
+    out-lists (in-lists for an in-tree), each vertex keeping the arc that
+    first reached it."""
+    adj = adjacency_lists(DiGraph(n, arcs), reverse=kind == "in")
+    tree = []
+    seen = {r}
+    queue = deque([r])
+    while queue:
+        u = queue.popleft()
+        for w in adj[u]:
+            if w not in seen:
+                seen.add(w)
+                tree.append((u, w) if kind == "out" else (w, u))
+                queue.append(w)
+    return Branching(r, kind, tree) if len(seen) == n else None
 
 
 def _reference_reach(start: set[int], adj, allowed: set[int]) -> set[int]:
@@ -377,7 +391,8 @@ def reference_decide_root_adjacent(d: DiGraph, r: int, name=str) -> Decision:
     tuples: the same B/O/I split, requirements, union-find pass over the
     O->I arcs in (tail, head) order, assignment and search hosts, so its
     status, ``reason`` and pair are the ones the array version must give.
-    The requirements come from `reference_source_components`."""
+    The requirements come from `reference_source_components`, the trees
+    from `reference_bfs_tree`."""
     d.check_vertex(r, "root")
     out_adj, in_adj = adjacency_lists(d), adjacency_lists(d, reverse=True)
     out_r = set(out_adj[r])
@@ -465,8 +480,8 @@ def reference_decide_root_adjacent(d: DiGraph, r: int, name=str) -> Decision:
     in_arcs = [(v, r) for v in in_r]
     in_arcs += [(o, w) for o in o_side for w in out_adj[o] if w not in i_side]
     in_arcs += [arc for arc in o_to_i if arc not in entering]
-    out_b = find_out_branching(DiGraph(d.vertex_count, out_arcs), r)
-    in_b = find_in_branching(DiGraph(d.vertex_count, in_arcs), r)
+    out_b = reference_bfs_tree(d.vertex_count, out_arcs, r, "out")
+    in_b = reference_bfs_tree(d.vertex_count, in_arcs, r, "in")
     if out_b is None or in_b is None:
         raise RuntimeError("requirement assignment left a vertex unspanned")
     return Decision("found", pair=GoodPair(r, out_b, in_b))

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,31 +13,33 @@ from goodpairs import (
     DiGraph,
     GoodPair,
     cycle_through,
-    find_in_branching,
-    find_out_branching,
     gen_composition,
     gen_semicomplete,
     gen_strong_digraph,
-    induced_subgraph,
     is_strong,
-    strong_components,
     verify_branching,
     verify_good_pair,
 )
 from goodpairs import digraph as digraph_module
 from goodpairs.digraph import (
     CSR_SEARCH_MIN_VERTICES,
-    _fifo_pointers,
+    _bfs_tree,
+    _component_labels,
     _csr_pointers,
+    _fifo_pointers,
+    _tarjan,
     bfs_pointers,
 )
 
+import bruteforce
 from bruteforce import (
     ARRAY_FORMS,
     adjacency_lists,
     labeled_digraphs,
     mutually_reachable,
     reachable_from,
+    reference_bfs_tree,
+    reference_components,
     shortest_cycle_through,
 )
 from strategies import digraphs
@@ -77,7 +82,7 @@ class TestDiGraph:
 
     def test_empty_graph(self):
         d = DiGraph(0)
-        assert strong_components(d) == ([], DiGraph(0))
+        assert _tarjan(d.out_csr, range(0)) == []
         assert is_strong(d)
 
     @given(digraphs(max_n=6), st.lists(st.tuples(st.integers(-8, 8), st.integers(-8, 8))))
@@ -119,39 +124,56 @@ class TestDiGraph:
         assert found.tolist() == [True, True, False]
 
 
+def components(d: DiGraph) -> list[set[int]]:
+    """The strong components `_tarjan` lists over every vertex of ``d``."""
+    return [set(comp) for comp in _tarjan(d.out_csr, range(d.vertex_count))]
+
+
 class TestStrongComponents:
     def test_cycle_is_one_component(self, c3):
-        comps, cond = strong_components(c3)
-        assert comps == [frozenset({0, 1, 2})]
-        assert cond.arcs == frozenset()
+        assert components(c3) == [{0, 1, 2}]
 
     def test_path_gives_singletons_in_topological_order(self):
+        """Each component is listed after every one it reaches, so the
+        reversed list is in topological order."""
         path = DiGraph(3, [(0, 1), (1, 2)])
-        comps, cond = strong_components(path)
-        assert comps == [frozenset({0}), frozenset({1}), frozenset({2})]
-        assert sorted(cond.arcs) == [(0, 1), (1, 2)]
+        assert components(path)[::-1] == [{0}, {1}, {2}]
 
     def test_two_disjoint_two_cycles(self):
         d = DiGraph(4, [(0, 1), (1, 0), (2, 3), (3, 2)])
-        comps, _ = strong_components(d)
-        assert sorted(comps, key=min) == [frozenset({0, 1}), frozenset({2, 3})]
+        assert sorted(components(d), key=min) == [{0, 1}, {2, 3}]
 
     def test_condensation_is_topologically_ordered(self):
         d = DiGraph(5, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 2), (4, 0)])
-        comps, cond = strong_components(d)
-        for u, v in cond.arcs:
-            assert u < v
+        label = _component_labels(5, components(d)[::-1])
+        for u, v in d.arcs:
+            assert label[u] <= label[v]
 
     @given(digraphs(max_n=8))
     @settings(max_examples=150)
     def test_partition_matches_brute_mutual_reachability(self, d):
-        comps, _ = strong_components(d)
+        comps = components(d)
         covered = [v for comp in comps for v in comp]
         assert sorted(covered) == list(range(d.vertex_count))
         index = {v: i for i, comp in enumerate(comps) for v in comp}
         for x in range(d.vertex_count):
             for y in range(x + 1, d.vertex_count):
                 assert (index[x] == index[y]) == mutually_reachable(d, x, y)
+
+
+class TestTarjan:
+    @given(digraphs(min_n=1, max_n=8), st.data())
+    @settings(max_examples=150)
+    def test_matches_the_reference_on_vertex_subsets(self, d, data):
+        """On the subgraph a vertex subset induces, taken in any order: the
+        classes of mutual reachability, each after every class it reaches."""
+        vertices = data.draw(st.lists(st.integers(0, d.vertex_count - 1), unique=True))
+        expected = reference_components(d, set(vertices))
+        comps = [frozenset(comp) for comp in _tarjan(d.out_csr, vertices)]
+        assert sorted(map(sorted, comps)) == sorted(map(sorted, expected))
+        for i, comp in enumerate(comps):
+            for later in comps[i + 1 :]:
+                assert not expected[comp] & later
 
 
 def engine_pointers(d: DiGraph, sources, reverse: bool = False, target: int = -1):
@@ -329,59 +351,67 @@ class TestIsStrong:
 
     @given(digraphs(max_n=7))
     def test_agrees_with_component_count(self, d):
-        comps, _ = strong_components(d)
-        assert is_strong(d) == (len(comps) <= 1)
+        strong = all(mutually_reachable(d, 0, v) for v in range(1, d.vertex_count))
+        assert is_strong(d) == strong
+
+
+def bfs_tree(d: DiGraph, r: int, kind: str) -> Branching | None:
+    """`_bfs_tree` of ``kind`` at r over the lists of ``d`` it reads."""
+    return _bfs_tree(d.out_csr if kind == "out" else d.in_csr, r, kind)
 
 
 class TestFindBranchings:
     def test_out_on_cycle(self, c3):
-        b = find_out_branching(c3, 0)
+        b = bfs_tree(c3, 0, "out")
         assert b.arcs == frozenset({(0, 1), (1, 2)})
 
     def test_out_absent_when_unreachable(self):
-        assert find_out_branching(DiGraph(3, [(0, 1), (1, 2)]), 1) is None
+        assert bfs_tree(DiGraph(3, [(0, 1), (1, 2)]), 1, "out") is None
 
     def test_out_on_complete_biorientation(self, bior_k3):
-        b = find_out_branching(bior_k3, 0)
+        b = bfs_tree(bior_k3, 0, "out")
         assert b.arcs == frozenset({(0, 1), (0, 2)})
         assert verify_branching(bior_k3, b).ok
 
     def test_in_on_cycle(self, c3):
-        b = find_in_branching(c3, 0)
+        b = bfs_tree(c3, 0, "in")
         assert b.arcs == frozenset({(1, 2), (2, 0)})
 
     def test_in_on_path(self):
-        b = find_in_branching(DiGraph(3, [(0, 1), (1, 2)]), 2)
+        b = bfs_tree(DiGraph(3, [(0, 1), (1, 2)]), 2, "in")
         assert b.arcs == frozenset({(0, 1), (1, 2)})
 
     def test_in_on_star(self):
         star = DiGraph(4, [(1, 0), (2, 0), (3, 0)])
-        b = find_in_branching(star, 0)
+        b = bfs_tree(star, 0, "in")
         assert b.arcs == frozenset({(1, 0), (2, 0), (3, 0)})
-
-    def test_out_of_range_root(self, c3):
-        with pytest.raises(ValueError, match="root"):
-            find_out_branching(c3, 3)
 
     @given(digraphs(min_n=1))
     def test_existence_iff_reachability(self, d):
         for r in range(d.vertex_count):
             reach = reachable_from(d.arcs, d.vertex_count, r)
-            assert (find_out_branching(d, r) is not None) == (
-                len(reach) == d.vertex_count
-            )
+            assert (bfs_tree(d, r, "out") is not None) == (len(reach) == d.vertex_count)
             back = reachable_from([(v, u) for u, v in d.arcs], d.vertex_count, r)
-            assert (find_in_branching(d, r) is not None) == (
-                len(back) == d.vertex_count
-            )
+            assert (bfs_tree(d, r, "in") is not None) == (len(back) == d.vertex_count)
 
     @given(digraphs(min_n=1))
     def test_outputs_verify(self, d):
         for r in range(d.vertex_count):
-            for finder in (find_out_branching, find_in_branching):
-                b = finder(d, r)
+            for kind in ("out", "in"):
+                b = bfs_tree(d, r, kind)
                 if b is not None:
                     assert verify_branching(d, b).ok
+
+    @given(digraphs(min_n=1, max_n=8))
+    @settings(max_examples=150)
+    def test_matches_the_reference_at_every_root(self, d):
+        for r in range(d.vertex_count):
+            for kind in ("out", "in"):
+                b = bfs_tree(d, r, kind)
+                expected = reference_bfs_tree(d.vertex_count, d.arcs, r, kind)
+                assert (b is None) == (expected is None)
+                if b is not None:
+                    assert (b.kind, b.arcs) == (kind, expected.arcs)
 
 
 class TestVerifyBranching:
@@ -466,26 +496,13 @@ class TestVerifyGoodPair:
                 assert is_strong(union)
 
 
-def test_induced_subgraph_reindexes():
-    d = DiGraph(4, [(0, 2), (2, 3), (3, 0)])
-    sub = induced_subgraph(d, [0, 2, 3])
-    assert sub.vertex_count == 3
-    assert sub.arcs == frozenset({(0, 1), (1, 2), (2, 0)})
-
-
-@pytest.mark.parametrize(
-    "kept, bad",
-    [([5, 0, 9], 5), ([3, -2, 7, -1], -2), ([2**70, 1], 2**70), ([4], 4)],
-)
-def test_induced_subgraph_names_the_smallest_bad_id(kept, bad):
-    d = DiGraph(4, [(0, 2), (2, 3), (3, 0)])
-    with pytest.raises(ValueError) as raised:
-        induced_subgraph(d, kept)
-    assert str(raised.value) == f"vertex {bad} out of range for 4 vertices"
-
-
-def test_induced_subgraph_collapses_repeats_and_takes_empty():
-    d = DiGraph(4, [(0, 2), (2, 3), (3, 0)])
-    assert induced_subgraph(d, [3, 0, 3, 2, 0]) == induced_subgraph(d, [0, 2, 3])
-    assert induced_subgraph(d, []) == DiGraph(0)
-    assert induced_subgraph(DiGraph(0), []) == DiGraph(0)
+def test_bruteforce_imports_only_data_types_from_goodpairs():
+    """The references share no search logic with the code they check."""
+    tree = ast.parse(Path(bruteforce.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names if a.name.split(".")[0] == "goodpairs"}
+        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "goodpairs":
+            imported |= {a.name for a in node.names}
+    assert imported <= {"Branching", "CompositionSpec", "Decision", "DiGraph", "GoodPair"}

@@ -21,8 +21,6 @@ from goodpairs import (
 )
 from goodpairs.cli import main
 from goodpairs.generate import (
-    _bounded,
-    _halves,
     _draw_inner,
     _semicomplete_arcs,
     _strong_arcs,
@@ -360,15 +358,16 @@ def test_pcg64_stream_decodes_as_the_generators_assume():
 
 @pytest.mark.parametrize("k", [2, 3, 50_000, 2**31 + 1, 3 * 2**30, 2**32 - 5, 2**32])
 def test_bounded_integers_match_numpy(k):
-    """The chord decoder against numpy, also at ranges where Lemire's method
-    rejects many halves: (2**32 - k) mod k is about 2**31 at k = 2**31 + 1."""
+    """The chord draw's rule at every range: ``integers(k, size=n)`` returns
+    what n scalar ``integers(k)`` calls return and leaves the state where
+    they leave it, with and without a half waiting, also where Lemire's
+    method rejects many halves: (2**32 - k) mod k is about 2**31 at
+    k = 2**31 + 1."""
     for seed in range(4):
-        ours, ref = _twins(seed, seed % 2 == 1)
-        waiting = ours.bit_generator.state
-        waiting = waiting["uinteger"] if waiting["has_uint32"] else None
-        values, taken = _bounded(_halves(ours.bit_generator.random_raw(400), waiting), k)
-        assert values[:300].tolist() == [int(ref.integers(k)) for _ in range(300)]
-        assert np.all(taken[1:] > taken[:-1])
+        bulk, scalar = _twins(seed, seed % 2 == 1)
+        expected = [int(scalar.integers(k)) for _ in range(301)]
+        assert bulk.integers(k, size=301).tolist() == expected
+        _assert_same_state(bulk, scalar)
 
 
 def test_large_generated_digraphs_build_no_arc_set():
