@@ -59,7 +59,7 @@ for b in range(outer.vertex_count):
 pair = construct_good_pair(spec, root)
 print(f"good pair at global vertex {pair.root} "
       f"({root.blob}.{root.layer}): "
-      f"{len(pair.out_branching.arcs)} + {len(pair.in_branching.arcs)} arcs")
+      f"{len(pair.out_branching.tails)} + {len(pair.in_branching.tails)} arcs")
 
 report = verify_good_pair(spec.implicit_view(), pair)
 print(f"verifies: {report.ok}")

@@ -22,14 +22,14 @@ from goodpairs import (
 d = DiGraph(4, [(0, 1), (1, 0), (0, 2), (2, 3), (3, 1), (1, 2), (3, 0)])
 print("out-branchings of a 7-arc digraph at root 0:")
 for b in enumerate_out_branchings(d, 0):
-    print(f"  {sorted(b.arcs)}")
+    print(f"  {list(b.arcs_in_order())}")
 
 # Decision with a witness.
 decision = decide_good_pair_exact(d, 0)
 print(f"\ngood pair at 0: {decision.status}")
 if decision.found:
-    print(f"  out: {sorted(decision.pair.out_branching.arcs)}")
-    print(f"  in:  {sorted(decision.pair.in_branching.arcs)}")
+    print(f"  out: {list(decision.pair.out_branching.arcs_in_order())}")
+    print(f"  in:  {list(decision.pair.in_branching.arcs_in_order())}")
     print(f"  verifies: {verify_good_pair(d, decision.pair).ok}")
 
 # Random semicomplete digraphs: dense graphs answer almost instantly

@@ -91,7 +91,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     d = gio.parse_digraph(_read(args.digraph))
     if args.enumerate:
         for b in enumerate_out_branchings(d, args.root, limit=args.limit):
-            print(json.dumps({"root": b.root, "arcs": gio.branching_arc_list(b)}))
+            print(gio.serialize_branching(b))
         return EXIT_FOUND
     decision = decide_good_pair_exact(d, args.root, vertex_cap=args.kernel_cap)
     if decision.found:
@@ -121,12 +121,9 @@ def _cmd_shrink(args: argparse.Namespace) -> int:
     if not result.ok:
         print(f"shrink failed: {result.message}", file=sys.stderr)
         return EXIT_INVALID
-    doc = {
-        "kept": nr.kept.tolist(),
-        "removed": nr.removed.tolist(),
-        "pair": gio.good_pair_doc(result.pair),
-    }
-    print(json.dumps(doc))
+    kept, removed = json.dumps(nr.kept.tolist()), json.dumps(nr.removed.tolist())
+    pair_text = gio.serialize_good_pair(result.pair)
+    print(f'{{"kept": {kept}, "removed": {removed}, "pair": {pair_text}}}')
     return EXIT_FOUND
 
 
@@ -186,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--enumerate",
         action="store_true",
-        help="list spanning out-branchings (as digraph documents) instead of deciding",
+        help='list spanning out-branchings, one {"root", "arcs"} line each, instead of deciding',
     )
     p.add_argument("--limit", type=int, default=None, help="stop after this many branchings")
     p.add_argument("--dot", metavar="OUT")

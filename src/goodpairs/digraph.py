@@ -48,20 +48,16 @@ def _fail(*problems: str) -> CheckReport:
     return CheckReport(False, tuple(problems))
 
 
-def _exact_ids(ids: Sequence[int]) -> np.ndarray:
-    """``ids`` as an int64 array, or as dtype object when some id does not fit."""
-    try:
-        return np.array(ids, dtype=np.int64)
-    except OverflowError:
-        return np.array(ids, dtype=object)
-
-
 def _sorted_arcs(arcs: Iterable[Arc]) -> tuple[list[Arc], np.ndarray, np.ndarray]:
     """The distinct int pairs ``arcs`` in ascending order, and as read-only
     ``(tails, heads)`` arrays: int64, or dtype object (exact) when some id
     does not fit."""
     pairs = sorted({(int(u), int(v)) for u, v in arcs})
-    ids = _exact_ids(list(chain.from_iterable(pairs)))
+    ids = list(chain.from_iterable(pairs))
+    try:
+        ids = np.array(ids, dtype=np.int64)
+    except OverflowError:
+        ids = np.array(ids, dtype=object)
     ids.flags.writeable = False  # and so are its two views
     return pairs, ids[0::2], ids[1::2]
 
@@ -102,9 +98,8 @@ class DiGraph:
     exact).  ``DiGraph(n, arcs)`` sorts the distinct pairs once and checks
     them in that order, so an error names the smallest bad arc;
     `from_sorted_arrays` takes the arrays as given.  Derived on first use:
-    ``arcs``, a frozenset of ``(tail, head)`` int pairs, and the neighbour
-    lists in one form, the CSR arrays `out_csr` and `in_csr`, which every
-    search and Tarjan pass reads.  Digraphs compare by vertex count and arcs.
+    the CSR neighbour lists `out_csr` and `in_csr`, read by every search,
+    and the view ``arcs``.  Digraphs compare by vertex count and arcs.
     """
 
     vertex_count: int
@@ -144,6 +139,8 @@ class DiGraph:
 
     @cached_property
     def arcs(self) -> frozenset[Arc]:
+        """The arcs as a set of ``(tail, head)`` int pairs: a view for tests
+        and the benchmark, and for `has_arcs` beyond int64 only."""
         return frozenset(self.arcs_in_order())
 
     def arcs_in_order(self) -> Iterable[Arc]:
@@ -170,13 +167,10 @@ class DiGraph:
         )
 
     def __hash__(self) -> int:
-        return hash((self.vertex_count, self.arcs))
+        return hash((self.vertex_count, self.arc_count))
 
     def __repr__(self) -> str:
         return f"DiGraph({self.vertex_count}, {list(self.arcs_in_order())})"
-
-    def has_arc(self, u: int, v: int) -> bool:
-        return bool(self.has_arcs(_exact_ids([u]), _exact_ids([v]))[0])
 
     @cached_property
     def _arc_keys(self) -> np.ndarray:
@@ -430,8 +424,7 @@ class Branching:
     ``(tails[k], heads[k])`` sorted by (tail, head), without repeats.  They
     are int64 unless some id does not fit, in which case both hold exact
     Python ints (dtype object); that is the one place ids beyond int64 are
-    kept exact.  ``arcs`` is the same set as ``(tail, head)`` int pairs,
-    derived on first use.  Branchings compare by identity.
+    kept exact.  Branchings compare by identity.
     """
 
     root: int
@@ -484,6 +477,7 @@ class Branching:
 
     @cached_property
     def arcs(self) -> frozenset[Arc]:
+        """The arcs as a set of int pairs: a view for tests and the benchmark."""
         return frozenset(self.arcs_in_order())
 
 
@@ -604,7 +598,7 @@ def verify_good_pair(d, gp: GoodPair) -> CheckReport:
         k = shared[0] if len(shared) else None
         first = None if k is None else (int(out_b.tails[k]), int(out_b.heads[k]))
     else:
-        first = min(out_b.arcs & in_b.arcs, default=None)
+        first = min(set(out_b.arcs_in_order()).intersection(in_b.arcs_in_order()), default=None)
     if first is not None:
         problems.append(f"branchings share arc ({first[0]},{first[1]})")
     if problems:

@@ -5,6 +5,7 @@ Every document is a single line of JSON:
   digraph       {"n": 3, "arcs": [[0, 1], [1, 2], [2, 0]]}
   composition   {"T": <digraph>, "H": [<digraph>, ...]}   with len(H) == T.n
   good pair     {"root": 0, "out_arcs": [[0, 1]], "in_arcs": [[1, 0]]}
+  branching     {"root": 0, "arcs": [[0, 1]]}
 
 Arc lists are written sorted ascending, so parse(serialize(x)) == x and
 documents diff cleanly.  The text is what ``json.dumps`` writes, with
@@ -210,6 +211,10 @@ def serialize_digraph(d: DiGraph) -> str:
 def serialize_composition(spec: CompositionSpec) -> str:
     blobs = _digraph_docs(spec.sizes, *spec.local_arcs())
     return _composition_text(serialize_digraph(spec.outer), blobs)
+
+
+def serialize_branching(b: Branching) -> str:
+    return f'{{"root": {b.root}, "arcs": {_arc_list_text(b.tails, b.heads)}}}'
 
 
 def serialize_good_pair(gp: GoodPair) -> str:
@@ -569,19 +574,6 @@ def parse_good_pair(text: str) -> GoodPair:
     return _parse(text, _canonical_pair, _pair_from_json)
 
 
-def branching_arc_list(b: Branching) -> list[list[int]]:
-    """The arcs of ``b`` as ``[tail, head]`` lists, in its sorted order."""
-    return np.column_stack((b.tails, b.heads)).tolist()
-
-
-def good_pair_doc(gp: GoodPair) -> dict[str, Any]:
-    return {
-        "root": gp.root,
-        "out_arcs": branching_arc_list(gp.out_branching),
-        "in_arcs": branching_arc_list(gp.in_branching),
-    }
-
-
 def export_dot(
     pair: GoodPair | None = None, host: DiGraph | None = None
 ) -> str:
@@ -589,7 +581,7 @@ def export_dot(
 
     Out-branching arcs carry ``color=blue``, in-branching arcs ``color=red``
     (see OUT_ARC_ATTR / IN_ARC_ATTR).  When a host digraph is given, its
-    remaining arcs are included without attributes.
+    remaining arcs follow without attributes.  Each group is in sorted order.
     """
     if pair is None and host is None:
         raise ValueError("export_dot needs a pair, a host digraph, or both")
@@ -597,13 +589,11 @@ def export_dot(
     colored: set[Arc] = set()
     if pair is not None:
         lines.append(f"  {pair.root} [shape=doublecircle];")
-        for u, v in branching_arc_list(pair.out_branching):
-            lines.append(f"  {u} -> {v} [{OUT_ARC_ATTR}];")
-        for u, v in branching_arc_list(pair.in_branching):
-            lines.append(f"  {u} -> {v} [{IN_ARC_ATTR}];")
-        colored = pair.out_branching.arcs | pair.in_branching.arcs
+        for b, attr in ((pair.out_branching, OUT_ARC_ATTR), (pair.in_branching, IN_ARC_ATTR)):
+            arcs = list(b.arcs_in_order())
+            lines += [f"  {u} -> {v} [{attr}];" for u, v in arcs]
+            colored.update(arcs)
     if host is not None:
-        for u, v in sorted(host.arcs - colored):
-            lines.append(f"  {u} -> {v};")
+        lines += [f"  {u} -> {v};" for u, v in host.arcs_in_order() if (u, v) not in colored]
     lines.append("}")
     return "\n".join(lines) + "\n"

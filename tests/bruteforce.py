@@ -157,6 +157,10 @@ def reference_composition_text(spec: CompositionSpec) -> str:
     return f'{{"T": {reference_digraph_text(spec.outer)}, "H": [{blobs}]}}'
 
 
+def reference_branching_text(b: Branching) -> str:
+    return f'{{"root": {b.root}, "arcs": {reference_arc_list_text(sorted(b.arcs))}}}'
+
+
 def reference_pair_text(gp: GoodPair) -> str:
     out_arcs = reference_arc_list_text(sorted(gp.out_branching.arcs))
     in_arcs = reference_arc_list_text(sorted(gp.in_branching.arcs))

@@ -12,8 +12,9 @@ from pathlib import Path
 import pytest
 
 import goodpairs
+from goodpairs import gen_composition, gen_semicomplete, materialize
 from goodpairs.cli import build_parser, main
-from goodpairs.io import serialize_composition
+from goodpairs.io import ARRAY_TEXT_MIN_INTS, serialize_composition, serialize_digraph
 
 from test_construct import PRECONDITION_ERRORS
 
@@ -432,3 +433,88 @@ def test_out_of_memory_is_invalid_input(command, spec_file, capsys, monkeypatch)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: Unable to allocate 29.8 GiB")
+
+
+def test_no_command_derives_an_arc_set(tmp_path, capsys, monkeypatch):
+    """Every command on int64 ids runs with the ``arcs`` sets of `DiGraph`
+    and `Branching` unreadable: the entry points read the arc arrays."""
+
+    def derived(self):
+        pytest.fail("an arc set was derived")
+
+    for cls in (goodpairs.DiGraph, goodpairs.Branching):
+        monkeypatch.setattr(cls, "arcs", property(derived))
+
+    def write(name: str, text: str) -> str:
+        (tmp_path / name).write_text(text)
+        return str(tmp_path / name)
+
+    def run(*argv: str) -> tuple[int, str]:
+        code = main(list(argv))
+        return code, capsys.readouterr().out
+
+    spec, absent = write("spec.json", SPEC_C3_K2BAR), write("absent.json", SPEC_C3_K1)
+    two = write("two.json", '{"n": 2, "arcs": [[0, 1], [1, 0]]}')
+    bad = write("bad.json", '{"root": 0, "out_arcs": [[0, 1]], "in_arcs": [[0, 1]]}')
+    dot = str(tmp_path / "out.dot")
+    code, out = run("compose", spec)
+    assert code == 0
+    q = write("q.json", out)
+    code, out = run("solve", spec, "--root", "1.1", "--dot", dot, "--materialize")
+    assert code == 0 and "color=blue" in Path(dot).read_text()
+    pair = write("pair.json", out)
+    assert run("decide-sc", spec, "--root", "2.2", "--dot", dot)[0] == 0
+    assert run("decide-sc", absent, "--root", "1.1", "--dot", dot)[0] == 1
+    assert run("oracle", two, "--root", "0", "--dot", dot)[0] == 0
+    assert run("oracle", q, "--root", "0", "--enumerate", "--limit", "3")[0] == 0
+    assert run("verify", q, pair) == (0, '{"valid": true, "problems": []}\n')
+    code, out = run("verify", two, bad)
+    assert code == 2 and "branchings share arc (0,1)" in out
+    assert run("shrink", q, pair, "--root", "0")[0] == 0
+
+
+def test_printed_text_is_pinned(tmp_path, capsys):
+    """What ``solve --dot --materialize``, ``decide-sc --dot``, ``oracle
+    --enumerate`` and ``shrink`` print on seeded inputs, byte for byte: exit
+    code, standard output and DOT file.  The last shrink prints trees of at
+    least `ARRAY_TEXT_MIN_INTS` ints each, which the array writer writes."""
+    texts = []
+    dot = tmp_path / "out.dot"
+
+    def run(*argv) -> str:
+        texts.append(f"{main([str(a) for a in argv])}\n")
+        out = capsys.readouterr().out
+        texts.append(out)
+        if dot.exists():
+            texts.append(dot.read_text())
+            dot.unlink()
+        return out
+
+    def write(name: str, text: str) -> Path:
+        (tmp_path / name).write_text(text)
+        return tmp_path / name
+
+    for seed in range(4):
+        spec = gen_composition(3 + seed, (2, 3), 0.3, "strong", seed)
+        spec = write("s.json", serialize_composition(spec))
+        for root in ("1.1", f"{3 + seed}.2"):
+            run("solve", spec, "--root", root, "--dot", dot, "--materialize")
+    for seed in range(8):
+        spec = gen_composition(3, (1, 3), 0.3, "semicomplete", seed)
+        spec = write("s.json", serialize_composition(spec))
+        for root in ("1.1", "2.1"):
+            run("decide-sc", spec, "--root", root, "--dot", dot)
+    assert {"0\n", "1\n"} <= set(texts)
+    for seed in range(4):
+        d = write("d.json", serialize_digraph(gen_semicomplete(4, 0.5, seed)))
+        run("oracle", d, "--root", seed, "--enumerate", "--limit", 30)
+    for blobs, seed in (((2, 2), 0), ((150, 170), 1)):
+        spec = gen_composition(4, blobs, 0.5, "semicomplete", seed)
+        q = write("q.json", serialize_digraph(materialize(spec)))
+        spec = write("s.json", serialize_composition(spec))
+        pair = write("p.json", run("solve", spec, "--root", "1.1"))
+        shrunk = json.loads(run("shrink", q, pair, "--root", 0))
+    assert 2 * (len(shrunk["kept"]) - 1) >= ARRAY_TEXT_MIN_INTS  # per tree
+    assert _sha256("".join(texts)) == (
+        "da2e701bf3ee41c131ef1f693f745d2de65f79176fc46ea1edbfad0914423a4a"
+    )

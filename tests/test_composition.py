@@ -273,7 +273,10 @@ def _mutations(spec: CompositionSpec, q: DiGraph, gp: GoodPair):
     yield "drop", GoodPair(r, Branching(r, "out", out_b.arcs - {first}), in_b)
     for u, v in sorted(out_b.arcs):
         inside = [
-            w for w in range(n) if blob[w] == blob[v] and w != v and not q.has_arc(w, v)
+            w
+            for w in range(n)
+            if blob[w] == blob[v] and w != v
+            and not q.has_arcs(np.array([w]), np.array([v]))[0]
         ]
         if inside:
             yield "non-arc inside a blob", _out_replaced(gp, (u, v), (inside[0], v))
@@ -282,7 +285,8 @@ def _mutations(spec: CompositionSpec, q: DiGraph, gp: GoodPair):
         far = [
             w
             for w in range(n)
-            if blob[w] != blob[v] and not spec.outer.has_arc(blob[w], blob[v])
+            if blob[w] != blob[v]
+            and not spec.outer.has_arcs(np.array([blob[w]]), np.array([blob[v]]))[0]
         ]
         if far:
             yield "non-arc between blobs", _out_replaced(gp, (u, v), (far[0], v))

@@ -97,6 +97,12 @@ class TestDiGraph:
         assert "arcs" not in keyed.__dict__
         assert d.has_arcs(tails, heads).tolist() == expected
 
+    @given(digraphs(max_n=6))
+    def test_equal_digraphs_hash_equal_without_an_arc_set(self, d):
+        keyed = DiGraph.from_sorted_arrays(d.vertex_count, d.tails.copy(), d.heads.copy())
+        assert keyed == d and hash(keyed) == hash(d)
+        assert "arcs" not in keyed.__dict__
+
     def test_has_arcs_ids_out_of_range_whose_keys_collide(self):
         """(1, -1) and (0, 3) have the keys 1 * 3 - 1 and 0 * 3 + 3 of the
         arcs (0, 2) and (1, 0)."""
@@ -105,14 +111,18 @@ class TestDiGraph:
         assert d.has_arcs(tails, heads).tolist() == [False, False, False, True, True]
 
     def test_has_arc_reads_the_keys_and_checks_the_range(self):
-        """One pair through `has_arcs`: no arc set is built for ids within
-        int64, and pairs out of range whose keys collide with arcs are not
-        arcs.  Ids beyond int64 take the set."""
+        """One pair at a time through `has_arcs`: no arc set is built for ids
+        within int64, and pairs out of range whose keys collide with arcs are
+        not arcs.  Ids beyond int64, in object arrays, take the set."""
         d = DiGraph.from_sorted_arrays(3, np.array([0, 1]), np.array([2, 0]))
-        assert d.has_arc(0, 2) and d.has_arc(1, 0)
-        assert not d.has_arc(1, -1) and not d.has_arc(0, 3) and not d.has_arc(2, -3)
+
+        def has_arc(u, v, dtype=np.int64):
+            return bool(d.has_arcs(np.array([u], dtype), np.array([v], dtype))[0])
+
+        assert has_arc(0, 2) and has_arc(1, 0)
+        assert not has_arc(1, -1) and not has_arc(0, 3) and not has_arc(2, -3)
         assert "arcs" not in d.__dict__
-        assert not d.has_arc(2**70, 0)
+        assert not has_arc(2**70, 0, object)
 
     def test_has_arcs_beyond_int64_keys(self):
         big = 2**62

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -287,6 +288,23 @@ class TestBulkDrawsMatchScalarCalls:
             assert blobs == bf.reference_blobs(ref, t, 1, 4, fraction)
         _assert_same_state(ours, ref)
 
+    @pytest.mark.parametrize("waiting", [False, True])
+    @pytest.mark.parametrize("p", [0.0, 0.001])
+    def test_blob_over_two_chunks_matches_one_call(self, p, waiting):
+        """A blob of 1100 vertices takes 1,208,900 draws, over two chunks;
+        at p = 0 they are skipped.  Both give the arcs and the state of one
+        ``random`` call over every draw."""
+        sizes = np.array([1100])
+        ours, ref = _twins(3, waiting)
+        inner = _draw_inner(ours, sizes, p)
+        hits = np.flatnonzero(ref.random(1100 * 1099) < p)
+        u, w = np.divmod(hits, 1099)
+        assert (inner.tails.tolist(), inner.heads.tolist()) == (
+            u.tolist(), (w + (w >= u)).tolist()
+        )
+        assert (p == 0) == (inner.arc_count == 0)
+        _assert_same_state(ours, ref)
+
     def test_compositions_match_the_reference(self):
         for seed in range(30):
             for outer in ("strong", "semicomplete"):
@@ -368,6 +386,20 @@ def test_bounded_integers_match_numpy(k):
         expected = [int(scalar.integers(k)) for _ in range(301)]
         assert bulk.integers(k, size=301).tolist() == expected
         _assert_same_state(bulk, scalar)
+
+
+def test_blob_draws_are_made_in_bounded_memory():
+    """Two blobs of 1500 vertices at blob-arc probability 0 take 4,497,000
+    draws, 36 MB of doubles in one call; none is made."""
+    gen_composition(2, (2, 2), 0.0, "strong", 0)
+    tracemalloc.start()
+    try:
+        spec = gen_composition(2, (1500, 1500), 0.0, "strong", 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spec.sizes.tolist() == [1500, 1500] and spec.inner.arc_count == 0
+    assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_large_generated_digraphs_build_no_arc_set():

@@ -26,6 +26,7 @@ from goodpairs.io import (
     parse_composition,
     parse_digraph,
     parse_good_pair,
+    serialize_branching,
     serialize_composition,
     serialize_digraph,
     serialize_good_pair,
@@ -33,6 +34,7 @@ from goodpairs.io import (
 
 from bruteforce import (
     reference_arc_list_error,
+    reference_branching_text,
     reference_composition_text,
     reference_digraph_text,
     reference_pair_text,
@@ -415,6 +417,11 @@ class TestWritersMatchReference:
     def test_pair(self, gp):
         assert _texts(serialize_good_pair, gp) == {reference_pair_text(gp)}
 
+    @given(_pairs())
+    def test_branching(self, gp):
+        for b in (gp.out_branching, gp.in_branching):
+            assert _texts(serialize_branching, b) == {reference_branching_text(b)}
+
     @pytest.mark.parametrize("ids", [[0, 9, 10, 99, 100, 10**9 - 1, 10**9, 2**63 - 1]])
     def test_digit_counts(self, ids):
         arcs = [(u, v) for u in ids for v in ids if u != v]
@@ -435,6 +442,8 @@ class TestWritersMatchReference:
         gp = GoodPair(BIG, Branching(BIG, "out", [(BIG, 0)]), Branching(BIG, "in", [(0, BIG)]))
         assert _texts(serialize_digraph, d) == {reference_digraph_text(d)}
         assert _texts(serialize_good_pair, gp) == {reference_pair_text(gp)}
+        b = gp.out_branching
+        assert _texts(serialize_branching, b) == {reference_branching_text(b)}
 
     def test_large_documents(self):
         """Above the module's sizes, where the arrays write by default."""
@@ -445,6 +454,7 @@ class TestWritersMatchReference:
         assert serialize_composition(spec) == reference_composition_text(spec)
         assert serialize_digraph(spec.outer) == reference_digraph_text(spec.outer)
         assert serialize_good_pair(gp) == reference_pair_text(gp)
+        assert serialize_branching(gp.in_branching) == reference_branching_text(gp.in_branching)
 
 
 def _key(x):
