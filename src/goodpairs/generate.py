@@ -240,19 +240,20 @@ def _draw_inner(rng: np.random.Generator, sizes: np.ndarray, p: float) -> DiGrap
     is below p.  Draw j of a blob of order n is for the pair
     (u, w + (w >= u)) with u, w = divmod(j, n - 1).  The draws come a chunk
     at a time, which gives one call's values (each is one raw word); at p = 0
-    no draw keeps an arc, so a draw of more than a chunk is skipped."""
+    no draw keeps an arc, so none is made."""
     pairs = sizes * (sizes - 1)
     ends = np.cumsum(pairs)
     total = int(ends[-1])
-    if total <= _DRAW_CHUNK:
-        hits = np.flatnonzero(rng.random(total) < p)
-    elif p == 0:
+    hits = [np.empty(0, np.int64)]
+    if p == 0:
         state = rng.bit_generator.state
         _hand_off(rng.bit_generator, state, total, _waiting_half(state))
-        hits = np.empty(0, np.int64)
     else:
-        chunks = [(at, min(_DRAW_CHUNK, total - at)) for at in range(0, total, _DRAW_CHUNK)]
-        hits = np.concatenate([np.flatnonzero(rng.random(k) < p) + at for at, k in chunks])
+        hits += [
+            np.flatnonzero(rng.random(min(_DRAW_CHUNK, total - at)) < p) + at
+            for at in range(0, total, _DRAW_CHUNK)
+        ]
+    hits = np.concatenate(hits)
     blob = np.searchsorted(ends, hits, side="right")
     u, w = np.divmod(hits - (ends - pairs)[blob], sizes[blob] - 1)
     return inner_digraph(sizes, np.bincount(blob, minlength=len(sizes)), u, w + (w >= u))

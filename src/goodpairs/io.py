@@ -586,14 +586,13 @@ def export_dot(
     if pair is None and host is None:
         raise ValueError("export_dot needs a pair, a host digraph, or both")
     lines = ["digraph G {"]
-    colored: set[Arc] = set()
     if pair is not None:
         lines.append(f"  {pair.root} [shape=doublecircle];")
         for b, attr in ((pair.out_branching, OUT_ARC_ATTR), (pair.in_branching, IN_ARC_ATTR)):
-            arcs = list(b.arcs_in_order())
-            lines += [f"  {u} -> {v} [{attr}];" for u, v in arcs]
-            colored.update(arcs)
+            lines += [f"  {u} -> {v} [{attr}];" for u, v in b.arcs_in_order()]
     if host is not None:
+        trees = () if pair is None else (pair.out_branching, pair.in_branching)
+        colored = {a for b in trees for a in b.arcs_in_order()}
         lines += [f"  {u} -> {v};" for u, v in host.arcs_in_order() if (u, v) not in colored]
     lines.append("}")
     return "\n".join(lines) + "\n"

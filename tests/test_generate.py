@@ -402,6 +402,20 @@ def test_blob_draws_are_made_in_bounded_memory():
     assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
 
 
+def test_blob_draws_above_a_chunk_hold_one_chunk_at_a_time():
+    """At blob-arc probability 0.001 the 4,497,000 draws of two blobs of 1500
+    vertices are made a chunk (8 MB of doubles) at a time, not 36 MB at once."""
+    gen_composition(2, (2, 2), 0.001, "strong", 0)
+    tracemalloc.start()
+    try:
+        spec = gen_composition(2, (1500, 1500), 0.001, "strong", 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spec.sizes.tolist() == [1500, 1500] and spec.inner.arc_count > 0
+    assert peak < 12e6, f"peak {peak / 1e6:.1f} MB"
+
+
 def test_large_generated_digraphs_build_no_arc_set():
     for d in (gen_strong_digraph(5000, 5000, 1), gen_semicomplete(300, 0.25, 1)):
         assert "arcs" not in d.__dict__
