@@ -85,7 +85,7 @@ def _csr(n: int, tails: np.ndarray, heads: np.ndarray, reverse: bool = False) ->
     return indptr, neighbours
 
 
-# The largest vertex count n for which ``n * n`` fits int64.
+# The largest n for which ``n * n`` fits int64.
 _KEYED_VERTICES_MAX = 3_037_000_499
 
 
@@ -140,7 +140,7 @@ class DiGraph:
     @cached_property
     def arcs(self) -> frozenset[Arc]:
         """The arcs as a set of ``(tail, head)`` int pairs: a view for tests
-        and the benchmark, and for `has_arcs` beyond int64 only."""
+        and the benchmark, and for `has_arcs` where keys do not fit int64."""
         return frozenset(self.arcs_in_order())
 
     def arcs_in_order(self) -> Iterable[Arc]:
@@ -173,22 +173,29 @@ class DiGraph:
         return f"DiGraph({self.vertex_count}, {list(self.arcs_in_order())})"
 
     @cached_property
+    def _key_base(self) -> int:
+        """One more than the largest arc end: no id from it up is one."""
+        return max(int(self.tails.max()), int(self.heads.max())) + 1 if self.arc_count else 0
+
+    def _keys(self, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
+        """``tail * _key_base + head``: ascending in (tail, head) below it."""
+        return tails.astype(np.int64, copy=False) * self._key_base + heads
+
+    @cached_property
     def _arc_keys(self) -> np.ndarray:
-        """Sorted ``tail * n + head`` over the arcs, n being the vertex count;
-        int64 holds them up to `_KEYED_VERTICES_MAX` vertices."""
-        return self.tails * self.vertex_count + self.heads
+        return self._keys(self.tails, self.heads)
 
     def has_arcs(self, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
         """Mask over the pairs (tails[k], heads[k]); exact for ids of any size.
 
         Looked up among the sorted `_arc_keys`, which ids out of range never
-        match; in ``arcs`` when ids or keys do not fit int64."""
-        n = self.vertex_count
-        if n > _KEYED_VERTICES_MAX or tails.dtype == object or heads.dtype == object:
+        match; in ``arcs`` when ids or `_keys` do not fit int64."""
+        b = self._key_base
+        if b > _KEYED_VERTICES_MAX or tails.dtype == object or heads.dtype == object:
             pairs = zip(tails.tolist(), heads.tolist())
             return np.fromiter(((u, v) in self.arcs for u, v in pairs), bool, len(tails))
-        found = (tails >= 0) & (tails < n) & (heads >= 0) & (heads < n)
-        found &= _members(self._arc_keys, tails.astype(np.int64) * n + heads)
+        found = (tails >= 0) & (tails < b) & (heads >= 0) & (heads < b)
+        found &= _members(self._arc_keys, self._keys(tails, heads))
         return found
 
     def check_vertex(self, v: int, what: str = "vertex") -> None:
@@ -311,14 +318,12 @@ def cycle_through(d: DiGraph, v: int) -> tuple[int, ...]:
     ``(v, ..., v)``: of the shortest, the one through the smallest
     out-neighbour w of ``v``, along the path `bfs_pointers` finds from w.
 
-    Two searches find it.  The first starts from all out-neighbours at once,
-    in ascending order, and stops at ``v``.  In it, the pointers of each
-    vertex lead back to the smallest source at the vertex's distance from
-    the sources: by induction on the level, the FIFO queue holds every level
-    in order of those sources, and a vertex points at the first vertex of
-    the level before it that has an arc to it.  So from ``v`` they lead back
-    to w.  The second search runs from w alone.  Both read ``out_csr``, the
-    first its slice of v's out-neighbours.
+    One search over ``out_csr`` finds it, from all out-neighbours S of
+    ``v`` at once, in ascending order, stopping at ``v``.  Its pointers
+    lead back from ``v`` to w, the smallest source at v's distance from S,
+    and are those of a search from w alone: for each vertex x on the path,
+    no vertex that search reaches earlier at x's level has an arc to x, as
+    it would have given x a smaller source or a shorter distance.
     """
     d.check_vertex(v)
     if d.vertex_count < 2:
@@ -327,12 +332,8 @@ def cycle_through(d: DiGraph, v: int) -> tuple[int, ...]:
     pointer = bfs_pointers(csr, neighbours[indptr[v] : indptr[v + 1]].tolist(), target=v)
     if pointer[v] == -1:
         raise ValueError(f"no cycle through vertex {v}: digraph is not strong")
-    w = int(pointer[v])
-    while pointer[w] != w:
-        w = int(pointer[w])
-    pointer = bfs_pointers(csr, (w,), target=v)
     path = [v]  # v back to w along the pointers, then reversed
-    while path[-1] != w:
+    while pointer[path[-1]] != path[-1]:
         path.append(int(pointer[path[-1]]))
     return (v, *reversed(path))
 
@@ -347,24 +348,29 @@ def _component_labels(n: int, components: Sequence[Sequence[int]]) -> np.ndarray
     return np.array(label, dtype=np.int64)
 
 
-def _tarjan(csr: CSR, vertices: Sequence[int]) -> list[list[int]]:
+def _tarjan(csr: CSR, vertices: Sequence[int]) -> tuple[list[list[int]], list[bool]]:
     """Strong components of the subgraph that ``vertices`` induce in the
     digraph of the neighbour lists ``csr``, each listed after every
-    component it reaches.  Iterative Tarjan, so large graphs do not hit the
-    recursion limit.
+    component it reaches, and for each whether an arc of the subgraph
+    enters it from another.  Iterative Tarjan, so large graphs do not hit
+    the recursion limit.  A component is entered when it closes under a DFS
+    parent (outside it, as its root is its first vertex), or when an arc is
+    scanned to a finished vertex; an arc to one on the stack stays inside.
     """
     start, neighbours = (a.tolist() for a in csr)
     n = len(start) - 1
-    # A vertex outside the subgraph looks finished and off the stack, as a
-    # vertex of an earlier component does, so the search never enters it.
+    # Index -1 marks a vertex of the subgraph not yet reached, -2 one
+    # outside it, never entered.  A reached vertex is on the stack until its
+    # component's label is set.
     index = [-2] * n
     for v in vertices:
         index[v] = -1
     lowlink = [0] * n
-    on_stack = bytearray(n)
+    label = [-1] * n
     stack: list[int] = []
     counter = 0
     components: list[list[int]] = []
+    entered: list[bool] = []
 
     for root in vertices:
         if index[root] != -1:
@@ -377,7 +383,6 @@ def _tarjan(csr: CSR, vertices: Sequence[int]) -> list[list[int]]:
                 index[v] = lowlink[v] = counter
                 counter += 1
                 stack.append(v)
-                on_stack[v] = 1
             end = start[v + 1]
             while pos < end:
                 w = neighbours[pos]
@@ -385,21 +390,24 @@ def _tarjan(csr: CSR, vertices: Sequence[int]) -> list[list[int]]:
                 if index[w] == -1:  # descend; v resumes at its next arc
                     work += ((v, pos), (w, start[w]))
                     break
-                if on_stack[w] and index[w] < lowlink[v]:
+                if label[w] >= 0:
+                    entered[label[w]] = True
+                elif 0 <= index[w] < lowlink[v]:  # on the stack
                     lowlink[v] = index[w]
             else:  # every arc of v is read: v is finished
                 if lowlink[v] == index[v]:
+                    entered.append(bool(work))
                     comp = []
                     while True:
                         w = stack.pop()
-                        on_stack[w] = 0
+                        label[w] = len(components)
                         comp.append(w)
                         if w == v:
                             break
                     components.append(comp)
                 if work and lowlink[v] < lowlink[work[-1][0]]:
                     lowlink[work[-1][0]] = lowlink[v]
-    return components
+    return components, entered
 
 
 def is_strong(d: DiGraph) -> bool:

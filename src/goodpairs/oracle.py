@@ -122,7 +122,7 @@ def decide_good_pair_exact(
     n = d.vertex_count
     for out_b in enumerate_out_branchings(d, r):
         # The in-lists of the arcs of d outside out_b, cut from d's arrays.
-        outside = ~_members(out_b.tails * n + out_b.heads, d._arc_keys)
+        outside = ~_members(d._keys(out_b.tails, out_b.heads), d._arc_keys)
         rest = _csr(n, d.tails[outside], d.heads[outside], reverse=True)
         in_b = _bfs_tree(rest, r, "in")
         if in_b is not None:

@@ -325,23 +325,15 @@ def _requirements(
     ``arcs``, of the vertices of the mask ``side`` that a search from
     ``sources`` along those arcs (backwards with ``reverse``) misses.  One
     CSR serves the search and the Tarjan pass over the missed vertices,
-    which never enters another vertex; a component is entered (left) by an
-    arc with both ends missed that joins it from (to) another one."""
+    which flags the components entered (left, in the reversed CSR)."""
     if not side.any():
         return []
-    tails, heads = d.tails[arcs], d.heads[arcs]
-    csr = _csr(d.vertex_count, tails, heads, reverse)
+    csr = _csr(d.vertex_count, d.tails[arcs], d.heads[arcs], reverse)
     unreached = np.flatnonzero(side & (np.asarray(bfs_pointers(csr, sources)) < 0))
     if not len(unreached):
         return []
-    components = _tarjan(csr, unreached.tolist())
-    label = _component_labels(d.vertex_count, components)
-    tail_comp, head_comp = label[tails], label[heads]
-    if reverse:
-        tail_comp, head_comp = head_comp, tail_comp
-    joined = (tail_comp >= 0) & (head_comp >= 0) & (tail_comp != head_comp)
-    entered = np.bincount(head_comp[joined], minlength=len(components))
-    initial = [sorted(c) for c, e in zip(components, entered.tolist()) if not e]
+    components, entered = _tarjan(csr, unreached.tolist())
+    initial = [sorted(c) for c, e in zip(components, entered) if not e]
     return sorted(initial, key=min)
 
 

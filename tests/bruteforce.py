@@ -296,6 +296,7 @@ ARRAY_FORMS = {
     "heads",
     "out_csr",
     "in_csr",
+    "_key_base",
     "_arc_keys",
     "arcs",
 }

@@ -41,6 +41,7 @@ from bruteforce import (
     reference_bfs_tree,
     reference_components,
     shortest_cycle_through,
+    strong_labeled_digraphs,
 )
 from strategies import digraphs
 
@@ -82,7 +83,7 @@ class TestDiGraph:
 
     def test_empty_graph(self):
         d = DiGraph(0)
-        assert _tarjan(d.out_csr, range(0)) == []
+        assert _tarjan(d.out_csr, range(0)) == ([], [])
         assert is_strong(d)
 
     @given(digraphs(max_n=6), st.lists(st.tuples(st.integers(-8, 8), st.integers(-8, 8))))
@@ -124,6 +125,15 @@ class TestDiGraph:
         assert "arcs" not in d.__dict__
         assert not has_arc(2**70, 0, object)
 
+    def test_has_arcs_keys_by_the_largest_arc_id(self):
+        """Keys stay in int64 on a host of any vertex count whose arc ids
+        are small, so no arc set is built."""
+        d = DiGraph.from_sorted_arrays(2**40, np.array([0, 5]), np.array([7, 1]))
+        tails = np.array([0, 5, 7, 0, 2**39, 0])
+        heads = np.array([7, 1, 0, 8, 1, 2**39 + 7])
+        assert d.has_arcs(tails, heads).tolist() == [True, True, False, False, False, False]
+        assert "arcs" not in d.__dict__
+
     def test_has_arcs_beyond_int64_keys(self):
         big = 2**62
         d = DiGraph(big, [(0, big - 1), (big - 1, 0)])
@@ -136,7 +146,8 @@ class TestDiGraph:
 
 def components(d: DiGraph) -> list[set[int]]:
     """The strong components `_tarjan` lists over every vertex of ``d``."""
-    return [set(comp) for comp in _tarjan(d.out_csr, range(d.vertex_count))]
+    comps, _ = _tarjan(d.out_csr, range(d.vertex_count))
+    return [set(comp) for comp in comps]
 
 
 class TestStrongComponents:
@@ -176,14 +187,19 @@ class TestTarjan:
     @settings(max_examples=150)
     def test_matches_the_reference_on_vertex_subsets(self, d, data):
         """On the subgraph a vertex subset induces, taken in any order: the
-        classes of mutual reachability, each after every class it reaches."""
+        classes of mutual reachability, each after every class it reaches,
+        and entered exactly when another class reaches it."""
         vertices = data.draw(st.lists(st.integers(0, d.vertex_count - 1), unique=True))
         expected = reference_components(d, set(vertices))
-        comps = [frozenset(comp) for comp in _tarjan(d.out_csr, vertices)]
+        found, entered = _tarjan(d.out_csr, vertices)
+        comps = [frozenset(comp) for comp in found]
         assert sorted(map(sorted, comps)) == sorted(map(sorted, expected))
+        assert len(entered) == len(comps)
         for i, comp in enumerate(comps):
             for later in comps[i + 1 :]:
                 assert not expected[comp] & later
+            reached = any(comp & r for c, r in expected.items() if c != comp)
+            assert entered[i] == reached, (comp, expected)
 
 
 def engine_pointers(d: DiGraph, sources, reverse: bool = False, target: int = -1):
@@ -314,12 +330,31 @@ class TestCycleThrough:
         with pytest.raises(ValueError, match="two vertices"):
             cycle_through(DiGraph(1), 0)
 
-    def test_small_digraphs_match_reference(self):
-        digraphs = [gen_strong_digraph(3 + s, s * (s % 4), seed=s) for s in range(40)]
+    def test_small_digraphs_match_reference(self, monkeypatch):
+        """Every strong labeled digraph on 2-4 vertices and seeded ones, at
+        every vertex, searched by each engine."""
+        digraphs = [d for n in range(2, 5) for d in strong_labeled_digraphs(n)]
+        digraphs += [gen_strong_digraph(3 + s, s * (s % 4), seed=s) for s in range(40)]
         digraphs += [gen_composition(8, (1, 1), 0.0, "semicomplete", s).outer for s in range(10)]
-        for d in digraphs:
+        for threshold in (CSR_SEARCH_MIN_VERTICES, 0):
+            monkeypatch.setattr(digraph_module, "CSR_SEARCH_MIN_VERTICES", threshold)
+            for d in digraphs:
+                for v in range(d.vertex_count):
+                    assert cycle_through(d, v) == shortest_cycle_through(d, v), (d, v)
+
+    def test_one_search_per_call(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return bfs_pointers(*args, **kwargs)
+
+        monkeypatch.setattr(digraph_module, "bfs_pointers", counted)
+        for d in (gen_strong_digraph(30, 40, 3), gen_semicomplete(30, 0.1, 3)):
             for v in range(d.vertex_count):
-                assert cycle_through(d, v) == shortest_cycle_through(d, v)
+                calls.clear()
+                cycle_through(d, v)
+                assert len(calls) == 1
 
     def test_large_digraphs_match_reference(self):
         """Above the constant, searched over the CSR with no tuples built."""
